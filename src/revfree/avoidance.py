@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .words import FactorSet, Word, factors, is_squarefree, reverse
+from .words import FactorSet, Word, factors, first_square, reverse
 
 
 @dataclass(frozen=True)
@@ -58,19 +58,19 @@ def _occurrence(w: Word, x: Word) -> int:
 
 
 def find_conflict(w: Word, q: AvoidanceQuery) -> ConflictWitness | SquareWitness | None:
-    """The lexicographically first length-k reversal conflict in w, a square
-    (when the query demands squarefreeness), or None when w is valid."""
+    """The lexicographically first length-k reversal conflict in w, the
+    leftmost and then shortest square (when the query demands
+    squarefreeness), or None when w is valid."""
     if len(w) >= q.k:
         fs = factors(w, q.k)
         conflicts = sorted(x for x in fs.members if reverse(x) in fs.members)
         if conflicts:
             x = conflicts[0]
             return ConflictWitness(x, _occurrence(w, x), _occurrence(w, reverse(x)))
-    if q.require_squarefree and not is_squarefree(w):
-        for i in range(len(w)):
-            for half in range(1, (len(w) - i) // 2 + 1):
-                if w.symbols[i : i + half] == w.symbols[i + half : i + 2 * half]:
-                    return SquareWitness(w[i : i + half], i)
+    square = first_square(w) if q.require_squarefree else None
+    if square is not None:
+        start, half = square
+        return SquareWitness(w[start : start + half], start)
     return None
 
 

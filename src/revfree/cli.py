@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 on success (word valid, property holds, search completed),
-1 when a checked property fails, 2 on usage or parse errors.
+Each command only computes: it returns its JSON payload, its text lines and
+its exit code, and `main` prints one of the two forms.  Exit codes: 0 on
+success (word valid, property holds, search completed), 1 when a checked
+property fails, 2 on usage errors, which include parse errors and numbers
+the library rejects as out of range.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import sys
 import time
 
 from . import __version__
-from .avoidance import AvoidanceQuery, ConflictWitness, SquareWitness, find_conflict
+from .avoidance import AvoidanceQuery, ConflictWitness, find_conflict
 from .morphisms import (
     Morphism,
     all_words_universe,
@@ -24,9 +27,7 @@ from .morphisms import (
     squarefree_words_universe,
 )
 from .search import (
-    ExceedsCap,
     Finite,
-    STANDARD_PREAMBLES,
     enumerate_valid,
     match_ultimately_periodic,
     max_valid_length,
@@ -43,101 +44,78 @@ from .words import (
     stream_prefix,
 )
 
+# (JSON payload, to which main adds the version echo as the first key;
+# text lines, or None when the command prints JSON only; exit code)
+Result = tuple[dict, list[str] | None, int]
+
 
 class UsageError(Exception):
     pass
 
 
-def _parse_word(text: str, alphabet_size: int) -> Word:
-    try:
-        return Word.parse(text, alphabet_size)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _load_morphism(path: str) -> Morphism:
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_morphism(fh.read())
-    except (OSError, ValueError) as exc:
+            text = fh.read()
+    except OSError as exc:
         raise UsageError(f"cannot load morphism from {path}: {exc}") from exc
+    return parse_morphism(text)
 
 
-def _emit_factor_set(fs: FactorSet, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps({
-            "version": __version__,
-            "length": fs.length,
-            "members": [str(w) for w in fs],
-        }))
-    else:
-        for w in fs:
-            print(w)
+def _factor_set(fs: FactorSet) -> Result:
+    members = [str(w) for w in fs]
+    return {"length": fs.length, "members": members}, members, 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    word = _parse_word(args.word, args.alphabet)
-    q = AvoidanceQuery(args.k, args.squarefree)
-    conflict = find_conflict(word, q)
-    if args.json:
-        payload: dict = {
-            "version": __version__,
-            "word": str(word),
-            "alphabet": args.alphabet,
-            "k": args.k,
-            "squarefree": args.squarefree,
-            "valid": conflict is None,
+def cmd_check(args: argparse.Namespace) -> Result:
+    word = Word.parse(args.word, args.alphabet)
+    conflict = find_conflict(word, AvoidanceQuery(args.k, args.squarefree))
+    payload: dict = {
+        "word": str(word),
+        "alphabet": args.alphabet,
+        "k": args.k,
+        "squarefree": args.squarefree,
+        "valid": conflict is None,
+    }
+    if conflict is None:
+        text = "valid"
+    elif isinstance(conflict, ConflictWitness):
+        payload["conflict"] = {
+            "kind": "reversal",
+            "x": str(conflict.x),
+            "position_x": conflict.position_x,
+            "position_xr": conflict.position_xr,
         }
-        if isinstance(conflict, ConflictWitness):
-            payload["conflict"] = {
-                "kind": "reversal",
-                "x": str(conflict.x),
-                "position_x": conflict.position_x,
-                "position_xr": conflict.position_xr,
-            }
-        elif isinstance(conflict, SquareWitness):
-            payload["conflict"] = {
-                "kind": "square",
-                "x": str(conflict.x),
-                "position": conflict.position,
-            }
-        print(json.dumps(payload))
+        text = (
+            f"conflict: {conflict.x} at {conflict.position_x} "
+            f"reversed at {conflict.position_xr}"
+        )
     else:
-        if conflict is None:
-            print("valid")
-        elif isinstance(conflict, ConflictWitness):
-            print(
-                f"conflict: {conflict.x} at {conflict.position_x} "
-                f"reversed at {conflict.position_xr}"
-            )
-        else:
-            print(f"square: {conflict.x}{conflict.x} at {conflict.position}")
-    return 0 if conflict is None else 1
+        payload["conflict"] = {
+            "kind": "square",
+            "x": str(conflict.x),
+            "position": conflict.position,
+        }
+        text = f"square: {conflict.x}{conflict.x} at {conflict.position}"
+    return payload, [text], 0 if conflict is None else 1
 
 
-def cmd_factors(args: argparse.Namespace) -> int:
+def cmd_factors(args: argparse.Namespace) -> Result:
     if args.period is not None:
-        period = _parse_word(args.period, args.alphabet)
-        preamble = _parse_word(args.preamble or "", args.alphabet)
-        try:
-            fs = periodic_factors(Periodic(preamble, period), args.length)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    elif args.word is not None:
-        fs = factors(_parse_word(args.word, args.alphabet), args.length)
-    else:
-        raise UsageError("factors needs --word or --period")
-    _emit_factor_set(fs, args.json)
-    return 0
+        period = Word.parse(args.period, args.alphabet)
+        preamble = Word.parse(args.preamble or "", args.alphabet)
+        return _factor_set(periodic_factors(Periodic(preamble, period), args.length))
+    if args.word is not None:
+        return _factor_set(factors(Word.parse(args.word, args.alphabet), args.length))
+    raise UsageError("factors needs --word or --period")
 
 
-def cmd_search(args: argparse.Namespace) -> int:
+def cmd_search(args: argparse.Namespace) -> Result:
     q = AvoidanceQuery(args.k, args.squarefree)
     start = time.perf_counter()
     outcome = max_valid_length(args.alphabet, q, args.cap, args.fix_first)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    report: dict = {
-        "version": __version__,
+    payload: dict = {
         "query": {
             "alphabet": args.alphabet,
             "k": args.k,
@@ -148,158 +126,101 @@ def cmd_search(args: argparse.Namespace) -> int:
         "wall_time_ms": round(elapsed_ms, 3),
     }
     if isinstance(outcome, Finite):
-        report["outcome"] = "finite"
-        report["max_length"] = outcome.max_length
-        report["witnesses"] = [str(w) for w in outcome.witnesses]
+        payload.update(outcome="finite", max_length=outcome.max_length,
+                       witnesses=[str(w) for w in outcome.witnesses])
     else:
-        report["outcome"] = "exceeds-cap"
-        report["cap"] = outcome.cap
-        report["sample_survivor"] = str(outcome.sample_survivor)
-    print(json.dumps(report))
-    return 0
+        payload.update(outcome="exceeds-cap", cap=outcome.cap,
+                       sample_survivor=str(outcome.sample_survivor))
+    return payload, None, 0
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    q = AvoidanceQuery(args.k, args.squarefree)
-    found = enumerate_valid(args.alphabet, q, args.length)
-    if args.json:
-        print(json.dumps({
-            "version": __version__,
-            "alphabet": args.alphabet,
-            "k": args.k,
-            "squarefree": args.squarefree,
-            "length": args.length,
-            "count": len(found),
-            "words": [str(w) for w in found],
-        }))
-    else:
-        for w in found:
-            print(w)
-    return 0
+def cmd_enumerate(args: argparse.Namespace) -> Result:
+    found = enumerate_valid(args.alphabet, AvoidanceQuery(args.k, args.squarefree), args.length)
+    words = [str(w) for w in found]
+    payload = {
+        "alphabet": args.alphabet,
+        "k": args.k,
+        "squarefree": args.squarefree,
+        "length": args.length,
+        "count": len(words),
+        "words": words,
+    }
+    return payload, words, 0
 
 
-def cmd_morphic_apply(args: argparse.Namespace) -> int:
+def cmd_morphic_apply(args: argparse.Namespace) -> Result:
     h = _load_morphism(args.morphism)
-    word = _parse_word(args.word, h.domain_size)
-    print(apply(h, word))
-    return 0
+    return {}, [str(apply(h, Word.parse(args.word, h.domain_size)))], 0
 
 
-def cmd_morphic_stream(args: argparse.Namespace) -> int:
+def cmd_morphic_stream(args: argparse.Namespace) -> Result:
     h = _load_morphism(args.morphism)
     if args.inner_builtin is not None:
-        try:
-            inner = Builtin(args.inner_builtin)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        inner = Builtin(args.inner_builtin)
     elif args.inner_period is not None:
-        period = _parse_word(args.inner_period, h.domain_size)
-        preamble = _parse_word(args.inner_preamble or "", h.domain_size)
-        try:
-            inner = Periodic(preamble, period)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        period = Word.parse(args.inner_period, h.domain_size)
+        inner = Periodic(Word.parse(args.inner_preamble or "", h.domain_size), period)
     else:
         raise UsageError("morphic stream needs --inner-builtin or --inner-period")
-    try:
-        print(stream_prefix(MorphicImage(h, inner), args.length))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return 0
+    return {}, [str(stream_prefix(MorphicImage(h, inner), args.length))], 0
 
 
-def cmd_morphic_factor_set(args: argparse.Namespace) -> int:
+def cmd_morphic_factor_set(args: argparse.Namespace) -> Result:
     h = _load_morphism(args.morphism)
-    if args.squarefree_universe:
-        universe = squarefree_words_universe(h.domain_size, args.universe_length)
-    else:
-        universe = all_words_universe(h.domain_size, args.universe_length)
-    try:
-        fs = image_factor_set(h, args.k, universe)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _emit_factor_set(fs, args.json)
-    return 0
+    universe = squarefree_words_universe if args.squarefree_universe else all_words_universe
+    return _factor_set(image_factor_set(h, args.k, universe(h.domain_size, args.universe_length)))
 
 
-def cmd_morphic_marker(args: argparse.Namespace) -> int:
+def cmd_morphic_marker(args: argparse.Namespace) -> Result:
     h = _load_morphism(args.morphism)
-    marker = _parse_word(args.marker, h.codomain_size)
-    try:
-        report = marker_sync_check(h, marker)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.json:
-        print(json.dumps({
-            "version": __version__,
-            "marker": str(report.marker),
-            "synchronized": report.synchronized,
-            "occurrences": [
-                {"pair": f"{a}{b}", "offset": offset}
-                for (a, b), offset in report.occurrences
-            ],
-        }))
+    report = marker_sync_check(h, Word.parse(args.marker, h.codomain_size))
+    occurrences = [
+        {"pair": f"{a}{b}", "offset": offset} for (a, b), offset in report.occurrences
+    ]
+    payload = {
+        "marker": str(report.marker),
+        "synchronized": report.synchronized,
+        "occurrences": occurrences,
+    }
+    lines = ["synchronized" if report.synchronized else "not synchronized"]
+    lines += [f"  in image of {o['pair']} at offset {o['offset']}" for o in occurrences]
+    return payload, lines, 0 if report.synchronized else 1
+
+
+def cmd_morphic_squarefree_test(args: argparse.Namespace) -> Result:
+    result = squarefree_morphism_test(_load_morphism(args.morphism))
+    payload = {
+        "passed": result.passed,
+        "preimages": [str(w) for w in result.preimages],
+        "failing": None if result.failing is None else str(result.failing),
+    }
+    if result.passed:
+        text = f"pass ({len(result.preimages)} preimages)"
     else:
-        print("synchronized" if report.synchronized else "not synchronized")
-        for (a, b), offset in report.occurrences:
-            print(f"  in image of {a}{b} at offset {offset}")
-    return 0 if report.synchronized else 1
+        text = f"fail on {result.failing}"
+    return payload, [text], 0 if result.passed else 1
 
 
-def cmd_morphic_squarefree_test(args: argparse.Namespace) -> int:
-    h = _load_morphism(args.morphism)
-    try:
-        result = squarefree_morphism_test(h)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.json:
-        print(json.dumps({
-            "version": __version__,
-            "passed": result.passed,
-            "preimages": [str(w) for w in result.preimages],
-            "failing": None if result.failing is None else str(result.failing),
-        }))
-    else:
-        if result.passed:
-            print(f"pass ({len(result.preimages)} preimages)")
-        else:
-            print(f"fail on {result.failing}")
-    return 0 if result.passed else 1
+def cmd_match_periodic(args: argparse.Namespace) -> Result:
+    prefix = Word.parse(args.word, 2)
+    match = match_ultimately_periodic(prefix, rotation_family(Word.parse("001011", 2)))
+    preamble, period = (None, None) if match is None else (str(match[0]), str(match[1]))
+    payload = {
+        "word": str(prefix),
+        "matched": match is not None,
+        "preamble": preamble,
+        "period": period,
+    }
+    text = "no match" if match is None else f"preamble={preamble} period={period}"
+    return payload, [text], 0 if match is not None else 1
 
 
-def cmd_match_periodic(args: argparse.Namespace) -> int:
-    prefix = _parse_word(args.word, 2)
-    b = rotation_family(Word.parse("001011", 2))
-    try:
-        match = match_ultimately_periodic(prefix, b, STANDARD_PREAMBLES)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.json:
-        print(json.dumps({
-            "version": __version__,
-            "word": str(prefix),
-            "matched": match is not None,
-            "preamble": None if match is None else str(match[0]),
-            "period": None if match is None else str(match[1]),
-        }))
-    else:
-        if match is None:
-            print("no match")
-        else:
-            print(f"preamble={match[0]} period={match[1]}")
-    return 0 if match is not None else 1
-
-
-def cmd_verify_paper(args: argparse.Namespace) -> int:
+def cmd_verify_paper(args: argparse.Namespace) -> Result:
     from .verification import run_verification
 
     report = run_verification()
-    if args.json:
-        print(json.dumps(report.to_dict()))
-    else:
-        for r in report.results:
-            print(f"{r.id} {r.status} — {r.claim}")
-    return 0 if report.all_passed else 1
+    lines = [f"{r.id} {r.status} — {r.claim}" for r in report.results]
+    return report.to_dict(), lines, 0 if report.all_passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,8 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, alphabet: bool = True) -> None:
         if alphabet:
-            p.add_argument("-s", "--alphabet", type=int, required=True,
-                           help="alphabet size (explicit, never inferred)")
+            # symbols print as single digits, so at most 10 of them
+            p.add_argument("-s", "--alphabet", type=int, choices=range(1, 11), required=True,
+                           metavar="S", help="alphabet size 1..10 (explicit, never inferred)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("check", help="validate one word against an avoidance query")
@@ -396,13 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
+        payload, lines, code = args.func(args)
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if lines is None or getattr(args, "json", False):
+        print(json.dumps({"version": __version__, **payload}))
+    elif lines:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .avoidance import AvoidanceQuery, is_valid
-from .words import Word, complement, cyclic_shifts, reverse
+from .words import Word, complement, cyclic_shifts
 
 
 @dataclass(frozen=True)
@@ -246,9 +246,3 @@ def match_ultimately_periodic(
         return None
     return min(matches, key=lambda m: (len(m[0]), m[0].symbols, m[1].symbols))
 
-
-def recheck_witness(w: Word, q: AvoidanceQuery) -> bool:
-    """Re-validate a search result without any pruning shortcuts."""
-    ok = is_valid(w, q)
-    # validity is preserved by reversal (x <-> x^R conflicts are symmetric)
-    return ok and is_valid(reverse(w), q) == ok

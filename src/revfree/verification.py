@@ -24,6 +24,7 @@ from .morphisms import (
 )
 from .search import (
     Finite,
+    STANDARD_PREAMBLES,
     characterization_facts,
     enumerate_valid,
     forced_extension_check,
@@ -237,11 +238,10 @@ def check_t5() -> TheoremResult:
     size_ok = len(b) == 12 and len(cyclic_shifts(z)) == 6
     report = characterization_facts(b)
     match_ok = True
-    preambles = tuple(Word.parse(t, 2) for t in ("", "0", "1", "00", "11"))
-    for preamble in preambles:
+    for preamble in STANDARD_PREAMBLES:
         for y in sorted(b):
             prefix = stream_prefix(Periodic(preamble, y), 30)
-            got = match_ultimately_periodic(prefix, b, preambles)
+            got = match_ultimately_periodic(prefix, b)
             if got is None:
                 match_ok = False
                 continue

@@ -245,7 +245,25 @@ def periodic_factors(spec: Periodic, n: int) -> FactorSet:
     return factors(stream_prefix(spec, cover), n)
 
 
+_SQUARE = re.compile(r"(.+)\1")
+_SHORTEST_SQUARE = re.compile(r"(.+?)\1")
+
+
+def first_square(w: Word) -> tuple[int, int] | None:
+    """(start, half) of the square xx in w that starts leftmost, taking the
+    shortest x at that start; None when w is squarefree.
+
+    The greedy search finds the leftmost start; the lazy match runs only
+    there, because a lazy search over a squarefree word is slower.
+    """
+    text = "".join(chr(48 + c) for c in w.symbols)
+    found = _SQUARE.search(text)
+    if found is None:
+        return None
+    start = found.start()
+    return start, len(_SHORTEST_SQUARE.match(text, start).group(1))
+
+
 def is_squarefree(w: Word) -> bool:
     """True iff no nonempty x has xx as a contiguous subword of w."""
-    text = "".join(chr(48 + c) for c in w.symbols)
-    return re.search(r"(.+)\1", text) is None
+    return first_square(w) is None

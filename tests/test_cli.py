@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+import re
+import shlex
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +12,7 @@ from revfree.cli import main
 
 TERNARY_MORPHISM = "0 -> 0012\n1 -> 0112\n"
 FIVE_MORPHISM = "0 -> 012\n1 -> 013\n2 -> 014\n"
+SQUARING_MORPHISM = "0 -> 01\n1 -> 01\n2 -> 2\n"
 
 
 @pytest.fixture
@@ -256,3 +263,101 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["check", "--word", "01", "-k", "2", "-s", "2", "--nope"])
         assert exc.value.code == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        "check --word 01 -k 0 -s 2",
+        "search -s 2 -k 2 --cap 0",
+        "enumerate -s 2 -k 2 --length -1",
+        "factors --word 01 -n 0 -s 2",
+        "check --word 01 -k 2 -s 0",
+        "morphic factor-set --morphism {ternary} -k 3 --universe-length 0",
+        "enumerate -s 0 -k 2 --length 2",
+        "enumerate -s 11 -k 2 --length 2",
+    ])
+    def test_bad_input_is_usage_error(self, capsys, tmp_path, argv):
+        argv = shlex.split(argv.format(**write_morphisms(tmp_path)))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err.splitlines()[-1]
+        assert "Traceback" not in captured.err
+
+
+# Every command, in text and --json mode where it has both; the stdout of
+# each was recorded in cli_golden.json.  Re-record with
+#     PYTHONPATH=src python3 tests/test_cli.py
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+GOLDEN_ARGV = [
+    *(f"check {a}{mode}" for a in (
+        "--word 012012 -k 2 -s 3",
+        "--word 0110 -k 2 -s 2",
+        "--word 1200001 -k 8 -s 3 --squarefree",
+    ) for mode in ("", " --json")),
+    *(f"factors {a}{mode}" for a in (
+        "--word 012012 -n 2 -s 3",
+        "--period 001011 --preamble 11 -n 5 -s 2",
+    ) for mode in ("", " --json")),
+    "search -s 2 -k 4 --cap 32",
+    "search -s 2 -k 4 --cap 32 --json",
+    "search -s 3 -k 2 --cap 50 --fix-first",
+    *(f"enumerate -s {a}{mode}" for a in (
+        "3 -k 2 --length 3",
+        "2 -k 2 --length 4",
+        "3 -k 2 --length 5 --squarefree",
+    ) for mode in ("", " --json")),
+    "morphic apply --morphism {ternary} --word 01",
+    "morphic apply --morphism {ternary} --word ''",
+    "morphic stream --morphism {ternary} --length 12 --inner-builtin nonperiodic-binary",
+    "morphic stream --morphism {ternary} --length 8 --inner-period 1 --inner-preamble 00",
+    *(f"morphic {a}{mode}" for a in (
+        "factor-set --morphism {ternary} -k 3",
+        "factor-set --morphism {five} -k 2 --universe-length 3 --squarefree-universe",
+        "marker --morphism {ternary} --marker 00",
+        "marker --morphism {ternary} --marker 01",
+        "squarefree-test --morphism {five}",
+        "squarefree-test --morphism {squaring}",
+    ) for mode in ("", " --json")),
+    *(f"match-periodic --word {a}{mode}" for a in (
+        "001011001011001011001011",
+        "01010101010101010101",
+    ) for mode in ("", " --json")),
+    "verify-paper",
+    "verify-paper --json",
+]
+WALL_TIME = re.compile(r'("wall_time_ms": )[0-9.e+-]+')
+
+
+def write_morphisms(directory: Path) -> dict[str, str]:
+    paths = {}
+    for name, text in (("ternary", TERNARY_MORPHISM), ("five", FIVE_MORPHISM),
+                       ("squaring", SQUARING_MORPHISM)):
+        paths[name] = str(directory / f"{name}.morphism")
+        Path(paths[name]).write_text(text, encoding="utf-8")
+    return paths
+
+
+def golden_run(argv: str, paths: dict[str, str]) -> list:
+    """[exit code, stdout] of one command, with search's wall time masked."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(shlex.split(argv.format(**paths)))
+    return [code, WALL_TIME.sub(r"\g<1>0", out.getvalue())]
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGV)
+def test_stdout_matches_golden(tmp_path, argv):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert golden_run(argv, write_morphisms(tmp_path)) == golden[argv]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_morphisms(Path(tmp))
+        record = {argv: golden_run(argv, paths) for argv in GOLDEN_ARGV}
+    GOLDEN.write_text(json.dumps(record, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revfree import (
     Builtin,
@@ -16,21 +18,26 @@ from revfree import (
     reverse,
     stream_prefix,
 )
+from revfree.words import first_square
 
 
 def w(text, s=None):
     return Word.parse(text, s)
 
 
-def naive_squarefree(word):
-    # independent oracle: try every start and every half-length
+def naive_first_square(word):
+    # independent oracle: try every start, then every half-length
     syms = word.symbols
     n = len(syms)
     for i in range(n):
         for half in range(1, (n - i) // 2 + 1):
             if syms[i : i + half] == syms[i + half : i + 2 * half]:
-                return False
-    return True
+                return i, half
+    return None
+
+
+def naive_squarefree(word):
+    return naive_first_square(word) is None
 
 
 class TestWord:
@@ -226,6 +233,18 @@ class TestSquarefree:
             s = rng.randint(2, 5)
             word = Word(tuple(rng.randrange(s) for _ in range(rng.randint(0, 40))), s)
             assert is_squarefree(word) == naive_squarefree(word)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(2, 5).flatmap(
+        lambda s: st.lists(st.integers(0, s - 1), max_size=40).map(lambda t: Word(tuple(t), s))
+    ))
+    def test_first_square_is_leftmost_then_shortest(self, word):
+        assert first_square(word) == naive_first_square(word)
+
+    def test_first_square_takes_shortest_half_at_leftmost_start(self):
+        # the greedy search alone would report half 2 ("0000") at start 2
+        assert first_square(w("1200001", 3)) == (2, 1)
+        assert first_square(w("0120", 3)) is None
 
     def test_thue_fixed_point_is_squarefree(self):
         assert is_squarefree(stream_prefix(Builtin("thue-squarefree-ternary"), 3000))
