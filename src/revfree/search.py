@@ -1,17 +1,22 @@
 """Exhaustive backtracking over the prefix-closed tree of valid words.
 
 Validity is closed under taking subwords, so a depth-first search that only
-extends valid prefixes visits exactly the valid words.  The incremental check
-at each extension looks only at the new length-k suffix window (and, when
-squarefreeness is required, at squares ending at the new position).
+extends valid prefixes visits exactly the valid words.  One kernel, `_Path`,
+serves enumeration, maximum search and forced extension.  It keeps the path
+reversed, as a string of one character per symbol: an extension tests the new
+length-k window by a palindrome check and one set lookup and, for squarefree
+queries, the squares ending at the new symbol, which are the square prefixes
+of the reversed path, by one regex match.  The walk keeps an explicit stack,
+not recursion, so no interpreter limit bounds its depth.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import re
 from dataclasses import dataclass
+from typing import Iterator
 
-from .avoidance import AvoidanceQuery, is_valid
+from .avoidance import AvoidanceQuery
 from .words import Word, complement, cyclic_shifts
 
 
@@ -43,67 +48,78 @@ def rotation_family(z: Word) -> frozenset[Word]:
     return cyclic_shifts(z) | cyclic_shifts(complement(z))
 
 
-class _PathState:
-    """Mutable DFS path with O(k) validity checks per extension."""
+_SQUARE_PREFIX = re.compile(r"(.+?)\1", re.DOTALL)  # "." must match chr(10) too
 
-    def __init__(self, alphabet_size: int, query: AvoidanceQuery):
-        self.s = alphabet_size
+
+class _Path:
+    """Mutable DFS path: the symbols reversed, as a string, with the set of
+    length-k windows it holds."""
+
+    def __init__(self, query: AvoidanceQuery):
         self.k = query.k
         self.squarefree = query.require_squarefree
-        self.syms: list[int] = []
-        self.window_counts: Counter[tuple[int, ...]] = Counter()
+        self.rev = ""
+        self.windows: set[str] = set()
+        self.added: list[str | None] = []  # per depth: the window its push added
 
     def try_push(self, c: int) -> bool:
         """Extend by one symbol if the extension stays valid."""
-        syms = self.syms
-        syms.append(c)
-        n = len(syms)
-        ok = True
-        window: tuple[int, ...] | None = None
-        if n >= self.k:
-            window = tuple(syms[n - self.k :])
-            if window == window[::-1] or self.window_counts[window[::-1]] > 0:
-                ok = False
-        if ok and self.squarefree:
-            for half in range(1, n // 2 + 1):
-                if syms[n - 2 * half : n - half] == syms[n - half :]:
-                    ok = False
-                    break
-        if not ok:
-            syms.pop()
+        rev = chr(c) + self.rev
+        window = None
+        if len(rev) >= self.k:
+            reversal = rev[: self.k]
+            window = reversal[::-1]
+            if window == reversal or reversal in self.windows:
+                return False
+            if window in self.windows:
+                window = None
+        if self.squarefree and _SQUARE_PREFIX.match(rev):
             return False
         if window is not None:
-            self.window_counts[window] += 1
+            self.windows.add(window)
+        self.added.append(window)
+        self.rev = rev
         return True
 
     def pop(self) -> None:
-        n = len(self.syms)
-        if n >= self.k:
-            self.window_counts[tuple(self.syms[n - self.k :])] -= 1
-        self.syms.pop()
+        window = self.added.pop()
+        if window is not None:
+            self.windows.remove(window)
+        self.rev = self.rev[1:]
 
-    def word(self) -> Word:
-        return Word(tuple(self.syms), self.s)
+
+def _word(rev: str, s: int) -> Word:
+    return Word(tuple(rev[::-1].encode("latin-1")), s)
+
+
+def _walk(path: _Path, s: int, depth: int, root_choices: int) -> Iterator[int]:
+    """Push every valid word of at most `depth` symbols onto the empty path, in
+    lexicographic order, yielding each one's length (the root's 0 first)."""
+    yield 0
+    nexts = [0] if depth > 0 else []  # per depth: the next symbol to try
+    while nexts:
+        d = len(nexts)
+        c = nexts[-1]
+        if c == (s if d > 1 else root_choices):
+            nexts.pop()
+            if nexts:
+                path.pop()
+        else:
+            nexts[-1] = c + 1
+            if path.try_push(c):
+                yield d
+                if d < depth:
+                    nexts.append(0)
+                else:
+                    path.pop()
 
 
 def enumerate_valid(s: int, q: AvoidanceQuery, length: int) -> list[Word]:
     """All valid words of exactly the given length, in lexicographic order."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    out: list[Word] = []
-    state = _PathState(s, q)
-
-    def rec(depth: int) -> None:
-        if depth == length:
-            out.append(state.word())
-            return
-        for c in range(s):
-            if state.try_push(c):
-                rec(depth + 1)
-                state.pop()
-
-    rec(0)
-    return out
+    path = _Path(q)
+    return [_word(path.rev, s) for d in _walk(path, s, length, s) if d == length]
 
 
 def max_valid_length(
@@ -119,36 +135,20 @@ def max_valid_length(
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    state = _PathState(s, q)
+    path = _Path(q)
     best_len = 0
-    witnesses: list[Word] = [state.word()]
-    nodes = 1  # the root
-
-    class _CapHit(Exception):
-        pass
-
-    def rec(depth: int) -> None:
-        nonlocal best_len, witnesses, nodes
-        choices = range(1 if fix_first_symbol and depth == 0 else s)
-        for c in choices:
-            if state.try_push(c):
-                nodes += 1
-                d = depth + 1
-                if d > best_len:
-                    best_len = d
-                    witnesses = [state.word()]
-                elif d == best_len:
-                    witnesses.append(state.word())
-                if d == cap:
-                    raise _CapHit
-                rec(d)
-                state.pop()
-
-    try:
-        rec(0)
-    except _CapHit:
-        return ExceedsCap(cap, state.word(), nodes)
-    return Finite(best_len, tuple(witnesses), nodes)
+    witnesses: list[str] = []  # reversed paths, made into words at the end
+    nodes = 0
+    for d in _walk(path, s, cap, 1 if fix_first_symbol else s):
+        nodes += 1
+        if d > best_len:
+            best_len = d
+            witnesses = [path.rev]
+        elif d == best_len:
+            witnesses.append(path.rev)
+        if d == cap:
+            return ExceedsCap(cap, _word(path.rev, s), nodes)
+    return Finite(best_len, tuple(_word(rev, s) for rev in witnesses), nodes)
 
 
 def forced_extension_check(
@@ -156,21 +156,21 @@ def forced_extension_check(
 ) -> Word | None:
     """Extend the seed one symbol at a time while exactly one symbol keeps the
     word valid; None as soon as a branch point or dead end occurs."""
-    q = AvoidanceQuery(k)
+    path = _Path(AvoidanceQuery(k))
     if seed.alphabet_size != s:
         raise ValueError("seed alphabet does not match the search alphabet")
-    if not is_valid(seed, q):
+    if not all(path.try_push(c) for c in seed.symbols):
         raise ValueError("seed is not valid")
-    current = seed
     for _ in range(steps):
-        children = [
-            c for c in range(s)
-            if is_valid(current + Word((c,), s), q)
-        ]
+        children = []
+        for c in range(s):
+            if path.try_push(c):
+                path.pop()
+                children.append(c)
         if len(children) != 1:
             return None
-        current = current + Word((children[0],), s)
-    return current
+        path.try_push(children[0])
+    return _word(path.rev, s)
 
 
 @dataclass(frozen=True)

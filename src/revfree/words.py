@@ -19,15 +19,16 @@ class Word:
 
     The alphabet size is carried explicitly: the digit string "01" denotes
     different objects over a binary and a ternary alphabet (complementation
-    and search semantics differ).
+    and search semantics differ).  It is at most 10, so that every symbol
+    renders as one digit.
     """
 
     symbols: tuple[int, ...]
     alphabet_size: int
 
     def __post_init__(self) -> None:
-        if self.alphabet_size < 1:
-            raise ValueError("alphabet size must be at least 1")
+        if not 1 <= self.alphabet_size <= 10:
+            raise ValueError(f"alphabet size {self.alphabet_size} is not in 1..10")
         for c in self.symbols:
             if not 0 <= c < self.alphabet_size:
                 raise ValueError(

@@ -116,6 +116,13 @@ class TestSearch:
         assert payload["outcome"] == "exceeds-cap"
         assert len(payload["sample_survivor"]) == 50
 
+    def test_deep_search(self, capsys):
+        code, out = run(capsys, ["search", "-s", "2", "-k", "5", "--cap", "2048"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["outcome"] == "exceeds-cap"
+        assert len(payload["sample_survivor"]) == 2048
+
 
 class TestEnumerate:
     def test_words_listed(self, capsys):

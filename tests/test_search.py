@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revfree import (
     AvoidanceQuery,
@@ -22,6 +24,7 @@ from revfree import (
     rotation_family,
     stream_prefix,
 )
+from revfree.search import _Path
 
 
 def w(text, s=None):
@@ -128,9 +131,51 @@ class TestMaxValidLength:
         assert all(x[0] == 0 for x in fixed.witnesses)
         assert len(fixed.witnesses) < len(free.witnesses)
 
+    def test_node_counts_pin_the_search_tree(self):
+        # exact and machine-independent: a change to the tree shows up here
+        sq2, sq3 = AvoidanceQuery(2, True), AvoidanceQuery(3, True)
+        assert max_valid_length(4, sq2, 64).nodes_explored == 2945
+        assert max_valid_length(4, sq2, 64, fix_first_symbol=True).nodes_explored == 737
+        assert max_valid_length(4, sq3, 900).nodes_explored == 1552
+
+    def test_deep_search_is_not_depth_limited(self):
+        q = AvoidanceQuery(5)
+        outcome = max_valid_length(2, q, cap=2048)
+        assert isinstance(outcome, ExceedsCap)
+        assert len(outcome.sample_survivor) == 2048
+        assert is_valid(outcome.sample_survivor, q)
+
     def test_bad_cap(self):
         with pytest.raises(ValueError):
             max_valid_length(2, AvoidanceQuery(2), cap=0)
+
+
+class TestKernel:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda s: st.lists(st.integers(0, s - 1), max_size=30).map(lambda t: Word(tuple(t), s))
+        ),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    def test_pushes_agree_with_is_valid(self, word, k, squarefree):
+        q = AvoidanceQuery(k, squarefree)
+        path = _Path(q)
+        pushed = 0
+        for c in word:
+            before = (path.rev, set(path.windows), list(path.added))
+            for other in range(word.alphabet_size):
+                if path.try_push(other):
+                    path.pop()
+                assert (path.rev, path.windows, path.added) == before
+            ok = path.try_push(c)
+            assert ok == is_valid(word[: pushed + 1], q)
+            if not ok:
+                break
+            pushed += 1
+        assert (pushed == len(word)) == is_valid(word, q)
+        assert path.rev == "".join(chr(c) for c in reversed(word.symbols[:pushed]))
 
 
 class TestForcedExtension:

@@ -52,6 +52,14 @@ class TestWord:
         with pytest.raises(ValueError):
             Word((0,), 0)
 
+    def test_alphabet_is_at_most_ten(self):
+        # with 11 letters "10" could be the symbol 10 or the word 1.0
+        assert str(Word((9,), 10)) == "9"
+        with pytest.raises(ValueError):
+            Word((1, 0), 11)
+        with pytest.raises(ValueError):
+            Word((10,), 11)
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             Word.parse("01a")
