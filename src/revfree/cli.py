@@ -299,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--json", action="store_true")
     mp.set_defaults(func=cmd_morphic_marker)
 
-    mp = msub.add_parser("squarefree-test", help="12-word squarefreeness test for ternary morphisms")
+    mp = msub.add_parser("squarefree-test", help="squarefreeness test for ternary morphisms "
+                         "on 12 preimages, or 30 if not uniform")
     mp.add_argument("--morphism", required=True, metavar="FILE")
     mp.add_argument("--json", action="store_true")
     mp.set_defaults(func=cmd_morphic_squarefree_test)

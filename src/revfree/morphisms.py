@@ -1,5 +1,5 @@
 """Morphisms on words: application, image factor sets, marker synchronization,
-blockwise decoding, and the 12-word squarefreeness test for ternary morphisms."""
+blockwise decoding, and the finite squarefreeness test for ternary morphisms."""
 
 from __future__ import annotations
 
@@ -74,7 +74,7 @@ def parse_morphism(text: str) -> Morphism:
         if not sep:
             raise ValueError(f"bad morphism line: {raw!r}")
         sym_text, image_text = left.strip(), right.strip()
-        if not sym_text.isdigit():
+        if not (sym_text.isascii() and sym_text.isdigit()):
             raise ValueError(f"bad domain symbol in line: {raw!r}")
         sym = int(sym_text)
         if sym in mapping:
@@ -198,12 +198,14 @@ class SquarefreeMorphismResult:
 
 def squarefree_morphism_test(h: Morphism) -> SquarefreeMorphismResult:
     """Apply h to every squarefree ternary word of length 3 (there are 12)
-    and check each image for squarefreeness.  Passing this finite test
-    certifies that h maps infinite squarefree ternary words to squarefree
-    words."""
+    when h is uniform, or of length 5 (there are 30) when it is not, and
+    check each image for squarefreeness.  By Crochemore's criteria (1982),
+    passing this finite test certifies that h maps every squarefree ternary
+    word to a squarefree word; length 3 suffices only for uniform h."""
     if h.domain_size != 3:
         raise ValueError("the squarefree-morphism test is defined for ternary domains")
-    preimages = tuple(sorted(squarefree_words_universe(3, 3).members))
+    length = 3 if h.is_uniform else 5
+    preimages = tuple(sorted(squarefree_words_universe(3, length).members))
     for u in preimages:
         if not is_squarefree(apply(h, u)):
             return SquarefreeMorphismResult(False, preimages, u)

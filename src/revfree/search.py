@@ -12,12 +12,11 @@ not recursion, so no interpreter limit bounds its depth.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterator
 
 from .avoidance import AvoidanceQuery
-from .words import Word, complement, cyclic_shifts
+from .words import SHORTEST_SQUARE, Word, complement, cyclic_shifts
 
 
 @dataclass(frozen=True)
@@ -48,9 +47,6 @@ def rotation_family(z: Word) -> frozenset[Word]:
     return cyclic_shifts(z) | cyclic_shifts(complement(z))
 
 
-_SQUARE_PREFIX = re.compile(r"(.+?)\1", re.DOTALL)  # "." must match chr(10) too
-
-
 class _Path:
     """Mutable DFS path: the symbols reversed, as a string, with the set of
     length-k windows it holds."""
@@ -73,7 +69,7 @@ class _Path:
                 return False
             if window in self.windows:
                 window = None
-        if self.squarefree and _SQUARE_PREFIX.match(rev):
+        if self.squarefree and SHORTEST_SQUARE.match(rev):
             return False
         if window is not None:
             self.windows.add(window)

@@ -37,13 +37,13 @@ class Word:
 
     @classmethod
     def parse(cls, text: str, alphabet_size: int | None = None) -> Word:
-        """Parse a digit string like "0012".
+        """Parse a string of the digits 0-9 like "0012".
 
         When no alphabet size is given it is inferred as (largest digit + 1);
         the empty string parses to the empty word over a unary alphabet.
         """
         text = text.strip()
-        if text and not text.isdigit():
+        if text and not (text.isascii() and text.isdigit()):
             raise ValueError(f"not a digit string: {text!r}")
         syms = tuple(int(ch) for ch in text)
         if alphabet_size is None:
@@ -246,23 +246,70 @@ def periodic_factors(spec: Periodic, n: int) -> FactorSet:
     return factors(stream_prefix(spec, cover), n)
 
 
-_SQUARE = re.compile(r"(.+)\1")
-_SHORTEST_SQUARE = re.compile(r"(.+?)\1")
+# Squares xx with |x| <= 31, found by the regex engine in O(31 n) steps.
+_SHORT_SQUARE = re.compile(r"(.{1,31})\1", re.DOTALL)
+# Matched at a position, the square starting there with the shortest half.
+# "." must match chr(10) too: the search kernel codes symbol 10 that way.
+SHORTEST_SQUARE = re.compile(r"(.+?)\1", re.DOTALL)
+
+
+def _leftmost_square_start(text: str) -> int | None:
+    """Start of the leftmost square in text, or None when it has none.
+
+    Halves up to 31 go to the regex engine.  Longer halves p in [2m, 4m)
+    are found one level at a time, m = 16, 32, 64, ...: a square xx at i
+    with such a half holds text[a:q+m] inside its first x, where q is the
+    first multiple of m at or after i and a is q, or best - 1 when that is
+    smaller (i < best, the leftmost start found so far).  That block
+    occurs again at a + p; str.find gives the candidates p, and each is
+    confirmed by how far the match reaches back from a (a binary search
+    over slice equality) and one comparison of the whole square.  No square
+    starts at a < best, so the block has no period up to half its length
+    and occurs at most a few times in the window searched.
+    """
+    n = len(text)
+    short = _SHORT_SQUARE.search(text)
+    best = n if short is None else short.start()
+    m = 16
+    while 4 * m <= n and best > 0:
+        for q in range(0, n - 3 * m, m):
+            if q - m + 1 >= best:  # the block gives starts in (q - m, q] only
+                break
+            a = min(q, best - 1)
+            block = text[a : q + m]
+            end = a + 4 * m - 1 + len(block)
+            j = text.find(block, a + 2 * m, end)
+            while j != -1:
+                # lo: the longest b with text[a - b:a] == text[j - b:j] and
+                # a - b > q - m, since earlier starts belong to earlier blocks
+                lo, hi = 0, min(a, a - q + m - 1)
+                while lo < hi:
+                    mid = (lo + hi + 1) // 2
+                    if text[a - mid : a] == text[j - mid : j]:
+                        lo = mid
+                    else:
+                        hi = mid - 1
+                start, half = a - lo, j - a
+                if start < best and text[start : start + half] == text[j - lo : j - lo + half]:
+                    best = start
+                j = text.find(block, j + 1, end)
+        m *= 2
+    return None if best == n else best
 
 
 def first_square(w: Word) -> tuple[int, int] | None:
     """(start, half) of the square xx in w that starts leftmost, taking the
     shortest x at that start; None when w is squarefree.
 
-    The greedy search finds the leftmost start; the lazy match runs only
-    there, because a lazy search over a squarefree word is slower.
+    Near-linear: the leftmost start comes from `_leftmost_square_start`,
+    and the lazy match runs only there, because a lazy search over a
+    squarefree word is quadratic.
     """
     text = "".join(chr(48 + c) for c in w.symbols)
-    found = _SQUARE.search(text)
-    if found is None:
+    start = _leftmost_square_start(text)
+    if start is None:
         return None
-    start = found.start()
-    return start, len(_SHORTEST_SQUARE.match(text, start).group(1))
+    return start, len(SHORTEST_SQUARE.match(text, start).group(1))
 
 
 def is_squarefree(w: Word) -> bool:

@@ -282,6 +282,7 @@ class TestExitCodes:
         "morphic factor-set --morphism {ternary} -k 3 --universe-length 0",
         "enumerate -s 0 -k 2 --length 2",
         "enumerate -s 11 -k 2 --length 2",
+        "check --word \u0661\u0662 -k 2 -s 3",  # Arabic-Indic digits
     ])
     def test_bad_input_is_usage_error(self, capsys, tmp_path, argv):
         argv = shlex.split(argv.format(**write_morphisms(tmp_path)))

@@ -64,6 +64,8 @@ class TestMorphism:
             parse_morphism("0 -> 01\n0 -> 10")
         with pytest.raises(ValueError):
             parse_morphism("nonsense")
+        with pytest.raises(ValueError):  # an Arabic-Indic one
+            parse_morphism("0 -> 01\n\u0661 -> 10")
 
 
 class TestApply:
@@ -184,6 +186,16 @@ class TestSquarefreeMorphismTest:
     def test_wrong_domain_rejected(self):
         with pytest.raises(ValueError):
             squarefree_morphism_test(H_TERNARY)
+
+    def test_non_uniform_morphism_gets_the_length_5_preimages(self):
+        # length 3 suffices for uniform morphisms only
+        h = Morphism.from_strings(["01021", "012102", "0120212"], 3)
+        result = squarefree_morphism_test(h)
+        assert result.passed
+        assert list(result.preimages) == sorted(squarefree_words_universe(3, 5).members)
+        assert len(result.preimages) == 30
+        squaring = Morphism.from_strings(["01", "01", "2"], 3)
+        assert squarefree_morphism_test(squaring).failing == w("01020", 3)
 
 
 class TestBlockDecode:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from revfree import (
     Builtin,
     FactorSet,
+    MorphicImage,
     Periodic,
     Word,
     complement,
@@ -18,6 +20,7 @@ from revfree import (
     reverse,
     stream_prefix,
 )
+from revfree.verification import TERNARY_TO_FIVE
 from revfree.words import first_square
 
 
@@ -38,6 +41,37 @@ def naive_first_square(word):
 
 def naive_squarefree(word):
     return naive_first_square(word) is None
+
+
+_GREEDY_SQUARE = re.compile(r"(.+)\1", re.DOTALL)
+_LAZY_SQUARE = re.compile(r"(.+?)\1", re.DOTALL)
+
+
+def regex_first_square(word):
+    # quadratic oracle for long words: the greedy search finds the leftmost
+    # start, the lazy match there the shortest half
+    text = "".join(chr(48 + c) for c in word.symbols)
+    found = _GREEDY_SQUARE.search(text)
+    if found is None:
+        return None
+    return found.start(), len(_LAZY_SQUARE.match(text, found.start()).group(1))
+
+
+# T8's squarefree 5-letter word: the image of the ternary Thue word.
+T8_PREFIX = stream_prefix(
+    MorphicImage(TERNARY_TO_FIVE, Builtin("thue-squarefree-ternary")), 84_703
+)
+
+
+def t8_window(offset, length):
+    return list(T8_PREFIX.symbols[offset : offset + length])
+
+
+def with_square(symbols, position, half):
+    """symbols with a copy of symbols[position:position + half] inserted after
+    it, so that a square starts at position."""
+    cut = position + half
+    return symbols[:cut] + symbols[position:cut] + symbols[cut:]
 
 
 class TestWord:
@@ -63,6 +97,11 @@ class TestWord:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             Word.parse("01a")
+
+    def test_parse_rejects_non_ascii_digits(self):
+        # Arabic-Indic one and two: str.isdigit and int accept them
+        with pytest.raises(ValueError):
+            Word.parse("\u0661\u0662", 3)
 
     def test_slicing_keeps_alphabet(self):
         word = w("0120", 3)
@@ -256,3 +295,80 @@ class TestSquarefree:
 
     def test_thue_fixed_point_is_squarefree(self):
         assert is_squarefree(stream_prefix(Builtin("thue-squarefree-ternary"), 3000))
+
+
+@st.composite
+def t8_windows_with_square(draw):
+    """Up to 300 symbols of T8's word with an inserted square of half up to
+    100, which crosses the level boundaries at halves 31/32 and 63/64, and
+    sometimes one symbol changed."""
+    length = draw(st.integers(0, 200))
+    symbols = t8_window(draw(st.integers(0, 80_000)), length)
+    symbols = with_square(symbols, draw(st.integers(0, length)), draw(st.integers(1, 100)))
+    if symbols and draw(st.booleans()):
+        symbols[draw(st.integers(0, len(symbols) - 1))] = draw(st.integers(0, 4))
+    return Word(tuple(symbols), 5)
+
+
+class TestLongSquares:
+    """first_square against the regex oracle on words long enough for every
+    level of block sampling (halves 32 and up) to run."""
+
+    def test_t8_windows_with_inserted_square(self):
+        rng = random.Random(41)
+        for _ in range(12):
+            length = rng.randint(1_000, 12_000)
+            symbols = t8_window(rng.randrange(len(T8_PREFIX) - length), length)
+            half = rng.randint(1, min(3_000, length // 2))
+            symbols = with_square(symbols, rng.randrange(length - half + 1), half)
+            if rng.random() < 0.5:
+                symbols[rng.randrange(len(symbols))] = rng.randrange(5)
+            word = Word(tuple(symbols), 5)
+            assert first_square(word) == regex_first_square(word)
+
+    def test_unary_and_periodic_words(self):
+        for period in ((0,), (0, 1), (0, 1, 2), tuple(range(10)), tuple(t8_window(7, 100))):
+            for length in (63, 64, 65, 500, 4_097):
+                symbols = (period * length)[:length]
+                word = Word(symbols, max(symbols) + 1)
+                assert first_square(word) == regex_first_square(word)
+            prefix = t8_window(0, 3_000)
+            word = Word(tuple(prefix) + period * 40, 10)
+            assert first_square(word) == regex_first_square(word)
+
+    def test_squares_at_the_ends(self):
+        symbols = t8_window(1_234, 3_000)
+        for half in (1, 31, 32, 63, 64, 200, 1_500):
+            at_start = Word(tuple(with_square(symbols, 0, half)), 5)
+            assert first_square(at_start) == (0, half)
+            at_end = Word(tuple(symbols + symbols[-half:]), 5)
+            assert first_square(at_end) == regex_first_square(at_end)
+            whole = Word(tuple(with_square(symbols[:half], 0, half)), 5)
+            assert first_square(whole) == (0, half)
+
+    def test_long_square_left_of_a_shorter_one(self):
+        symbols = t8_window(500, 4_000)
+        for half in (32, 64, 100, 1_000):
+            long_first = with_square(with_square(symbols, 2_500, 2), 100, half)
+            word = Word(tuple(long_first), 5)
+            assert first_square(word) == regex_first_square(word) == (100, half)
+        # a square of half 1, four symbols in, inside both halves of a longer
+        # one: the long square's first block boundary lies past the short one
+        for half in (40, 100, 500):
+            x = symbols[97 : 97 + half]
+            x = x[:5] + [x[4]] + x[5:]
+            word = Word(tuple(symbols[:97] + x + x + symbols[97 + half :]), 5)
+            assert first_square(word) == regex_first_square(word) == (97, half + 1)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.integers(1, 5).flatmap(
+            lambda s: st.lists(st.integers(0, s - 1), max_size=300).map(lambda t: Word(tuple(t), s))
+        ),
+        t8_windows_with_square(),
+    ))
+    def test_matches_regex_oracle(self, word):
+        assert first_square(word) == regex_first_square(word)
+
+    def test_t8_image_prefix_is_squarefree(self):
+        assert first_square(T8_PREFIX) is None
