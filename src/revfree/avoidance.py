@@ -49,24 +49,17 @@ def has_reversal_conflict(a: FactorSet) -> bool:
     return any(reverse(x) in a.members for x in a.members)
 
 
-def _occurrence(w: Word, x: Word) -> int:
-    n = len(x)
-    for i in range(len(w) - n + 1):
-        if w.symbols[i : i + n] == x.symbols:
-            return i
-    raise ValueError(f"{x} does not occur in {w}")
-
-
 def find_conflict(w: Word, q: AvoidanceQuery) -> ConflictWitness | SquareWitness | None:
     """The lexicographically first length-k reversal conflict in w, the
     leftmost and then shortest square (when the query demands
     squarefreeness), or None when w is valid."""
-    if len(w) >= q.k:
-        fs = factors(w, q.k)
-        conflicts = sorted(x for x in fs.members if reverse(x) in fs.members)
-        if conflicts:
-            x = conflicts[0]
-            return ConflictWitness(x, _occurrence(w, x), _occurrence(w, reverse(x)))
+    text = str(w)  # equal-length digit strings sort as their symbol tuples do
+    windows = {text[i : i + q.k] for i in range(len(text) - q.k + 1)}
+    conflicts = [x for x in windows if x[::-1] in windows]
+    if conflicts:
+        x = min(conflicts)
+        i = text.find(x)
+        return ConflictWitness(w[i : i + q.k], i, text.find(x[::-1]))
     square = first_square(w) if q.require_squarefree else None
     if square is not None:
         start, half = square

@@ -164,10 +164,11 @@ def marker_sync_check(h: Morphism, marker: Word) -> MarkerReport:
     block = h.image_length
     if len(marker) > block:
         raise ValueError("marker longer than the image length")
-    marked = h.images[0]
-    marker_is_prefix = marked.startswith(marker)
+    # the marked block: the one image that starts with the marker, if unique
+    starting = {img for img in h.images if img.startswith(marker)}
+    marked = starting.pop() if len(starting) == 1 else None
     occurrences: list[tuple[tuple[Word, Word], int]] = []
-    synchronized = marker_is_prefix
+    synchronized = marked is not None
     for a in range(h.domain_size):
         for b in range(h.domain_size):
             pair = apply(h, Word((a, b), h.domain_size))
@@ -184,7 +185,7 @@ def marker_sync_check(h: Morphism, marker: Word) -> MarkerReport:
                 else:
                     synchronized = False
                     continue
-                if aligned_image != marked or not marker_is_prefix:
+                if aligned_image != marked:
                     synchronized = False
     return MarkerReport(marker, tuple(occurrences), synchronized)
 

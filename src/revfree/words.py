@@ -11,6 +11,8 @@ if TYPE_CHECKING:
     from .morphisms import Morphism
 
 BUILTIN_NAMES = ("nonperiodic-binary", "thue-squarefree-ternary")
+# Maps the byte of each symbol 0-9 to its digit, so a word renders in one call.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class Word:
         return self.symbols[index]
 
     def __str__(self) -> str:
-        return "".join(str(c) for c in self.symbols)
+        return bytes(self.symbols).translate(_DIGITS).decode("ascii")
 
     def __lt__(self, other: Word) -> bool:
         return self.symbols < other.symbols
@@ -249,7 +251,8 @@ def periodic_factors(spec: Periodic, n: int) -> FactorSet:
 # Squares xx with |x| <= 31, found by the regex engine in O(31 n) steps.
 _SHORT_SQUARE = re.compile(r"(.{1,31})\1", re.DOTALL)
 # Matched at a position, the square starting there with the shortest half.
-# "." must match chr(10) too: the search kernel codes symbol 10 that way.
+# The search kernel codes symbols as chr(0)-chr(9) and `first_square` as the
+# digits; with re.DOTALL "." matches any character, so neither coding matters.
 SHORTEST_SQUARE = re.compile(r"(.+?)\1", re.DOTALL)
 
 
@@ -305,7 +308,7 @@ def first_square(w: Word) -> tuple[int, int] | None:
     and the lazy match runs only there, because a lazy search over a
     squarefree word is quadratic.
     """
-    text = "".join(chr(48 + c) for c in w.symbols)
+    text = str(w)
     start = _leftmost_square_start(text)
     if start is None:
         return None

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revfree import (
     AvoidanceQuery,
@@ -103,6 +105,25 @@ class TestIsValid:
         # both 01/10 and 00 (palindrome) conflict in 10-0-01; 00 sorts first
         witness = find_conflict(w("10001", 2), AvoidanceQuery(2))
         assert witness.x == w("00", 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda s: st.lists(st.integers(0, s - 1), max_size=30).map(lambda t: Word(tuple(t), s))
+        ),
+        st.integers(1, 4),
+    )
+    def test_conflict_witness_matches_symbol_tuples(self, word, k):
+        # oracle on symbol tuples: least conflicting window, first occurrences
+        syms = word.symbols
+        windows = [syms[i : i + k] for i in range(len(syms) - k + 1)]
+        conflicts = sorted(x for x in set(windows) if x[::-1] in windows)
+        witness = find_conflict(word, AvoidanceQuery(k))
+        if not conflicts:
+            assert witness is None
+            return
+        x = conflicts[0]
+        assert witness == ConflictWitness(Word(x, word.alphabet_size), windows.index(x), windows.index(x[::-1]))
 
     def test_agrees_with_full_quantifier_binary(self):
         for k in (2, 3, 5):

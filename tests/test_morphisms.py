@@ -143,6 +143,21 @@ class TestMarkerSync:
     def test_triple_zero_synchronized(self):
         assert marker_sync_check(H_BINARY, w("000", 2)).synchronized
 
+    def test_letter_order_does_not_matter(self):
+        # the marked block is the image the marker starts, not images[0]
+        for h, marker in ((H_TERNARY, w("00", 3)), (H_BINARY, w("000", 2))):
+            swapped = Morphism(h.images[::-1])
+            assert marker_sync_check(swapped, marker).synchronized
+            assert marker_sync_check(h, marker).synchronized
+
+    def test_marker_must_start_exactly_one_image(self):
+        # 0 occurs only block-aligned but starts both images; 12 starts neither
+        assert not marker_sync_check(Morphism.from_strings(["012", "021"], 3), w("0", 3)).synchronized
+        assert not marker_sync_check(H_TERNARY, w("12", 3)).synchronized
+        # two letters with one image: a single marked block
+        doubled = Morphism.from_strings(["0012", "0012", "0112"], 3)
+        assert marker_sync_check(doubled, w("00", 3)).synchronized
+
     def test_interior_marker_not_synchronized(self):
         report = marker_sync_check(H_TERNARY, w("01", 3))
         assert not report.synchronized

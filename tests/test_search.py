@@ -24,7 +24,7 @@ from revfree import (
     rotation_family,
     stream_prefix,
 )
-from revfree.search import _Path
+from revfree.search import _Path, _walk
 
 
 def w(text, s=None):
@@ -79,6 +79,33 @@ class TestEnumerateValid:
     def test_valid_count_length_9_golden(self):
         # derived golden, confirmed against the naive filter above
         assert len(enumerate_valid(2, AvoidanceQuery(5), 9)) == 32
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # lengths up to 10, and s**length up to 20,000 so that each case is quick
+        st.integers(1, 5).flatmap(
+            lambda s: st.tuples(
+                st.just(s), st.integers(0, max(n for n in range(11) if s**n <= 20_000))
+            )
+        ),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    def test_levels_agree_with_dfs_kernel(self, s_length, k, squarefree):
+        # the level-by-level pass and the DFS kernel check each other, and
+        # both the product filter while it stays small
+        s, length = s_length
+        q = AvoidanceQuery(k, squarefree)
+        path = _Path(q)
+        dfs = [
+            Word(tuple(ord(ch) for ch in reversed(path.rev)), s)
+            for d in _walk(path, s, length, s)
+            if d == length
+        ]
+        got = enumerate_valid(s, q, length)
+        assert got == dfs
+        if s**length <= 5000:
+            assert got == naive_enumerate(s, q, length)
 
 
 class TestMaxValidLength:

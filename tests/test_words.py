@@ -80,6 +80,15 @@ class TestWord:
         assert str(w("", 2)) == ""
         assert len(w("00101", 2)) == 5
 
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda s: st.lists(st.integers(0, s - 1), max_size=40).map(lambda t: Word(tuple(t), s))
+        )
+    )
+    def test_str_is_one_digit_per_symbol(self, word):
+        assert str(word) == "".join(str(c) for c in word.symbols)
+        assert Word.parse(str(word), word.alphabet_size) == word
+
     def test_symbols_must_fit_alphabet(self):
         with pytest.raises(ValueError):
             Word((0, 2), 2)
