@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .words import FactorSet, Word, factors, first_square, reverse
+from .words import FactorSet, Word, alphabet, factors, first_square, reverse
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def find_conflict(w: Word, q: AvoidanceQuery) -> ConflictWitness | SquareWitness
     """The lexicographically first length-k reversal conflict in w, the
     leftmost and then shortest square (when the query demands
     squarefreeness), or None when w is valid."""
-    text = str(w)  # equal-length digit strings sort as their symbol tuples do
+    text = w.text
     windows = {text[i : i + q.k] for i in range(len(text) - q.k + 1)}
     conflicts = [x for x in windows if x[::-1] in windows]
     if conflicts:
@@ -91,19 +91,15 @@ def find_avoiding_word(s: int, length: int, patterns: set[Word] | frozenset[Word
     `patterns` as a contiguous subword, or None when every word contains one."""
     if length < 1:
         raise ValueError("length must be at least 1")
-    pats = [p.symbols for p in patterns]
-    for p in patterns:
-        if any(c >= s for c in p.symbols):
+    letters = alphabet(s)
+    pats = [p.text for p in patterns]
+    for p in pats:
+        if p.strip(letters):
             raise ValueError(f"pattern {p} is not over an alphabet of size {s}")
-    for candidate in itertools.product(range(s), repeat=length):
-        hit = False
-        for p in pats:
-            m = len(p)
-            if any(candidate[i : i + m] == p for i in range(length - m + 1)):
-                hit = True
-                break
-        if not hit:
-            return Word(candidate, s)
+    for candidate in itertools.product(letters, repeat=length):
+        text = "".join(candidate)
+        if not any(p in text for p in pats):
+            return Word(text, s)
     return None
 
 

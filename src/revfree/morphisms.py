@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .words import FactorSet, Word, is_squarefree
+from .words import LETTERS, FactorSet, Word, alphabet, is_squarefree
 
 
 @dataclass(frozen=True)
@@ -19,8 +19,8 @@ class Morphism:
     images: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        if not self.images:
-            raise ValueError("a morphism needs at least one image")
+        if not 1 <= len(self.images) <= 10:
+            raise ValueError("a morphism needs one image per letter, for 1..10 letters")
         cod = self.images[0].alphabet_size
         for img in self.images:
             if len(img) == 0:
@@ -33,9 +33,7 @@ class Morphism:
                      codomain_size: int | None = None) -> Morphism:
         """Build from digit strings, image_texts[i] being the image of i."""
         if codomain_size is None:
-            codomain_size = max(
-                (int(ch) for text in image_texts for ch in text), default=0
-            ) + 1
+            codomain_size = int(max("".join(image_texts), default="0")) + 1
         return cls(tuple(Word.parse(t, codomain_size) for t in image_texts))
 
     @property
@@ -93,29 +91,21 @@ def format_morphism(h: Morphism) -> str:
 
 def apply(h: Morphism, w: Word) -> Word:
     """The letterwise image h(w)."""
-    syms: list[int] = []
-    for c in w.symbols:
-        if c >= h.domain_size:
-            raise ValueError(f"symbol {c} outside morphism domain of size {h.domain_size}")
-        syms.extend(h.images[c].symbols)
-    return Word(tuple(syms), h.codomain_size)
+    if w.text.strip(LETTERS[: h.domain_size]):
+        raise ValueError(f"{w} has a symbol outside morphism domain of size {h.domain_size}")
+    table = {ord(c): img.text for c, img in zip(LETTERS, h.images)}
+    return Word(w.text.translate(table), h.codomain_size)
 
 
 def all_words_universe(s: int, m: int) -> FactorSet:
     """All s^m words of length m over {0..s-1}."""
-    return FactorSet(m, frozenset(
-        Word(t, s) for t in itertools.product(range(s), repeat=m)
-    ))
+    texts = ("".join(t) for t in itertools.product(alphabet(s), repeat=m))
+    return FactorSet(m, frozenset(Word(t, s) for t in texts))
 
 
 def squarefree_words_universe(s: int, m: int) -> FactorSet:
     """All squarefree words of length m over {0..s-1}."""
-    members = frozenset(
-        Word(t, s)
-        for t in itertools.product(range(s), repeat=m)
-        if is_squarefree(Word(t, s))
-    )
-    return FactorSet(m, members)
+    return FactorSet(m, frozenset(filter(is_squarefree, all_words_universe(s, m).members)))
 
 
 def image_factor_set(h: Morphism, k: int, preimage_universe: FactorSet) -> FactorSet:
@@ -127,6 +117,8 @@ def image_factor_set(h: Morphism, k: int, preimage_universe: FactorSet) -> Facto
     be long enough that images of its members cover a window:
     (m-1) * min_image_length + 1 >= k.
     """
+    if any(u.alphabet_size != h.domain_size for u in preimage_universe.members):
+        raise ValueError("the universe is not over the morphism's domain alphabet")
     m = preimage_universe.length
     min_len = min(len(img) for img in h.images)
     if (m - 1) * min_len + 1 < k:
@@ -134,12 +126,11 @@ def image_factor_set(h: Morphism, k: int, preimage_universe: FactorSet) -> Facto
             f"universe of length {m} cannot cover windows of length {k} "
             f"(minimum image length {min_len})"
         )
-    windows: set[Word] = set()
+    windows: set[str] = set()
     for u in preimage_universe.members:
-        image = apply(h, u)
-        for i in range(len(image) - k + 1):
-            windows.add(image[i : i + k])
-    return FactorSet(k, frozenset(windows))
+        image = apply(h, u).text
+        windows.update(image[i : i + k] for i in range(len(image) - k + 1))
+    return FactorSet(k, frozenset(Word(x, h.codomain_size) for x in windows))
 
 
 @dataclass(frozen=True)
@@ -161,6 +152,8 @@ def marker_sync_check(h: Morphism, marker: Word) -> MarkerReport:
     """
     if not h.is_uniform:
         raise ValueError("marker synchronization is only supported for uniform morphisms")
+    if marker.alphabet_size != h.codomain_size:
+        raise ValueError("the marker is not over the morphism's codomain alphabet")
     block = h.image_length
     if len(marker) > block:
         raise ValueError("marker longer than the image length")
@@ -169,19 +162,18 @@ def marker_sync_check(h: Morphism, marker: Word) -> MarkerReport:
     marked = starting.pop() if len(starting) == 1 else None
     occurrences: list[tuple[tuple[Word, Word], int]] = []
     synchronized = marked is not None
-    for a in range(h.domain_size):
-        for b in range(h.domain_size):
-            pair = apply(h, Word((a, b), h.domain_size))
+    letters = [Word(c, h.domain_size) for c in LETTERS[: h.domain_size]]
+    for a, image_a in zip(letters, h.images):
+        for b, image_b in zip(letters, h.images):
+            pair = image_a.text + image_b.text
             for i in range(len(pair) - len(marker) + 1):
-                if pair.symbols[i : i + len(marker)] != marker.symbols:
+                if pair[i : i + len(marker)] != marker.text:
                     continue
-                a_word = Word((a,), h.domain_size)
-                b_word = Word((b,), h.domain_size)
-                occurrences.append(((a_word, b_word), i))
+                occurrences.append(((a, b), i))
                 if i == 0:
-                    aligned_image = h.images[a]
+                    aligned_image = image_a
                 elif i == block:
-                    aligned_image = h.images[b]
+                    aligned_image = image_b
                 else:
                     synchronized = False
                     continue
@@ -218,16 +210,14 @@ def periodicity_transport_check(h: Morphism, y: Word) -> Word | None:
     is not a concatenation of images.  Requires a uniform morphism."""
     if not h.is_uniform:
         raise ValueError("blockwise decoding requires a uniform morphism")
+    if y.alphabet_size != h.codomain_size:
+        raise ValueError("the word is not over the morphism's codomain alphabet")
     block = h.image_length
     if len(y) % block != 0:
         return None
-    decoded: list[int] = []
-    for start in range(0, len(y), block):
-        piece = y.symbols[start : start + block]
-        for c, img in enumerate(h.images):
-            if img.symbols == piece:
-                decoded.append(c)
-                break
-        else:
-            return None
-    return Word(tuple(decoded), h.domain_size)
+    # reversed, so that the first letter wins when two images are equal
+    letter_of = {img.text: c for c, img in reversed(list(zip(LETTERS, h.images)))}
+    pieces = [letter_of.get(y.text[i : i + block]) for i in range(0, len(y), block)]
+    if None in pieces:
+        return None
+    return Word("".join(pieces), h.domain_size)

@@ -1,10 +1,10 @@
 """Exhaustive search over the prefix-closed tree of valid words.
 
 Validity is closed under taking subwords, so a search that only extends valid
-prefixes visits exactly the valid words.  Words are coded reversed, as strings
-of one character per symbol, so that the newest length-k window and the
-squares ending at the newest symbol are prefixes; one regex match finds such
-a square.
+prefixes visits exactly the valid words.  A word in the search is its own
+digit string reversed, so that the newest length-k window and the squares
+ending at the newest symbol are prefixes; one regex match finds such a
+square, and one more reversal makes a result `Word`.
 
 Enumeration runs level by level and tests a new window by one substring
 search of the extended word, which needs no per-word state.  That search
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .avoidance import AvoidanceQuery
-from .words import SHORTEST_SQUARE, Word, complement, cyclic_shifts
+from .words import LETTERS, SHORTEST_SQUARE, Word, alphabet, complement, cyclic_shifts
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ def rotation_family(z: Word) -> frozenset[Word]:
 
 
 class _Path:
-    """Mutable DFS path: the symbols reversed, as a string, with the set of
-    length-k windows it holds."""
+    """Mutable DFS path: its digits reversed, with the set of length-k
+    windows it holds."""
 
     def __init__(self, query: AvoidanceQuery):
         self.k = query.k
@@ -66,9 +66,9 @@ class _Path:
         self.windows: set[str] = set()
         self.added: list[str | None] = []  # per depth: the window its push added
 
-    def try_push(self, c: int) -> bool:
-        """Extend by one symbol if the extension stays valid."""
-        rev = chr(c) + self.rev
+    def try_push(self, c: str) -> bool:
+        """Extend by one letter if the extension stays valid."""
+        rev = c + self.rev
         window = None
         if len(rev) >= self.k:
             reversal = rev[: self.k]
@@ -92,10 +92,6 @@ class _Path:
         self.rev = self.rev[1:]
 
 
-def _word(rev: str, s: int) -> Word:
-    return Word(tuple(rev[::-1].encode("latin-1")), s)
-
-
 def _walk(path: _Path, s: int, depth: int, root_choices: int) -> Iterator[int]:
     """Push every valid word of at most `depth` symbols onto the empty path, in
     lexicographic order, yielding each one's length (the root's 0 first)."""
@@ -110,7 +106,7 @@ def _walk(path: _Path, s: int, depth: int, root_choices: int) -> Iterator[int]:
                 path.pop()
         else:
             nexts[-1] = c + 1
-            if path.try_push(c):
+            if path.try_push(LETTERS[c]):
                 yield d
                 if d < depth:
                     nexts.append(0)
@@ -127,6 +123,7 @@ def enumerate_valid(s: int, q: AvoidanceQuery, length: int) -> list[Word]:
     window does not occur in it (a palindrome matches itself) and, for
     squarefree queries, no square ends at the new symbol.
     """
+    letters = alphabet(s)
     if length < 0:
         raise ValueError("length must be nonnegative")
     k, squarefree = q.k, q.require_squarefree
@@ -136,11 +133,10 @@ def enumerate_valid(s: int, q: AvoidanceQuery, length: int) -> list[Word]:
             return False
         return not (squarefree and SHORTEST_SQUARE.match(ext))
 
-    letters = [chr(c) for c in range(s)]
     level = [""]
     for _ in range(length):
         level = [ext for rev in level for ch in letters if fits(ext := ch + rev)]
-    return [_word(rev, s) for rev in level]
+    return [Word(rev[::-1], s) for rev in level]
 
 
 def max_valid_length(
@@ -154,6 +150,7 @@ def max_valid_length(
     validity is invariant under alphabet permutation); witness sets are then
     quotiented and no longer match naive counts, so it is off by default.
     """
+    alphabet(s)
     if cap < 1:
         raise ValueError("cap must be at least 1")
     path = _Path(q)
@@ -168,8 +165,8 @@ def max_valid_length(
         elif d == best_len:
             witnesses.append(path.rev)
         if d == cap:
-            return ExceedsCap(cap, _word(path.rev, s), nodes)
-    return Finite(best_len, tuple(_word(rev, s) for rev in witnesses), nodes)
+            return ExceedsCap(cap, Word(path.rev[::-1], s), nodes)
+    return Finite(best_len, tuple(Word(rev[::-1], s) for rev in witnesses), nodes)
 
 
 def forced_extension_check(
@@ -177,21 +174,22 @@ def forced_extension_check(
 ) -> Word | None:
     """Extend the seed one symbol at a time while exactly one symbol keeps the
     word valid; None as soon as a branch point or dead end occurs."""
+    letters = alphabet(s)
     path = _Path(AvoidanceQuery(k))
     if seed.alphabet_size != s:
         raise ValueError("seed alphabet does not match the search alphabet")
-    if not all(path.try_push(c) for c in seed.symbols):
+    if not all(path.try_push(c) for c in seed.text):
         raise ValueError("seed is not valid")
     for _ in range(steps):
         children = []
-        for c in range(s):
+        for c in letters:
             if path.try_push(c):
                 path.pop()
                 children.append(c)
         if len(children) != 1:
             return None
         path.try_push(children[0])
-    return _word(path.rev, s)
+    return Word(path.rev[::-1], s)
 
 
 @dataclass(frozen=True)
@@ -256,14 +254,14 @@ def match_ultimately_periodic(
     if len(prefix) < 15:
         raise ValueError("need at least 15 symbols to match")
     matches: list[tuple[Word, Word]] = []
-    for p in sorted(preambles, key=lambda w: (len(w), w.symbols)):
+    for p in preambles:
         if not prefix.startswith(p):
             continue
-        rest = prefix.symbols[len(p) :]
-        for y in sorted(b):
-            if all(rest[i] == y.symbols[i % len(y)] for i in range(len(rest))):
+        rest = prefix.text[len(p) :]
+        for y in b:
+            if (y.text * (len(rest) // len(y) + 1)).startswith(rest):
                 matches.append((p, y))
     if not matches:
         return None
-    return min(matches, key=lambda m: (len(m[0]), m[0].symbols, m[1].symbols))
+    return min(matches, key=lambda m: (len(m[0]), m[0].text, m[1].text))
 

@@ -11,31 +11,38 @@ if TYPE_CHECKING:
     from .morphisms import Morphism
 
 BUILTIN_NAMES = ("nonperiodic-binary", "thue-squarefree-ternary")
-# Maps the byte of each symbol 0-9 to its digit, so a word renders in one call.
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+# The symbol i of every alphabet is the digit LETTERS[i]: a word is its digit string.
+LETTERS = "0123456789"
+_FLIP = str.maketrans("01", "10")
 
 
-@dataclass(frozen=True)
+def alphabet(s: int) -> str:
+    """The letters of an alphabet of size s, which must be in 1..10."""
+    if not 1 <= s <= 10:
+        raise ValueError(f"alphabet size {s} is not in 1..10")
+    return LETTERS[:s]
+
+
+@dataclass(frozen=True, slots=True)
 class Word:
-    """An immutable finite word over the alphabet {0, ..., alphabet_size - 1}.
+    """An immutable finite word over the alphabet {0, ..., alphabet_size - 1},
+    held as its digit string `text`.
 
     The alphabet size is carried explicitly: the digit string "01" denotes
     different objects over a binary and a ternary alphabet (complementation
     and search semantics differ).  It is at most 10, so that every symbol
-    renders as one digit.
+    is one digit; digit strings order as their symbol tuples do.
     """
 
-    symbols: tuple[int, ...]
+    text: str
     alphabet_size: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.alphabet_size <= 10:
-            raise ValueError(f"alphabet size {self.alphabet_size} is not in 1..10")
-        for c in self.symbols:
-            if not 0 <= c < self.alphabet_size:
-                raise ValueError(
-                    f"symbol {c} out of range for alphabet of size {self.alphabet_size}"
-                )
+        stray = self.text.strip(alphabet(self.alphabet_size))
+        if stray:
+            raise ValueError(
+                f"symbol {stray[0]!r} out of range for alphabet of size {self.alphabet_size}"
+            )
 
     @classmethod
     def parse(cls, text: str, alphabet_size: int | None = None) -> Word:
@@ -47,35 +54,38 @@ class Word:
         text = text.strip()
         if text and not (text.isascii() and text.isdigit()):
             raise ValueError(f"not a digit string: {text!r}")
-        syms = tuple(int(ch) for ch in text)
         if alphabet_size is None:
-            alphabet_size = max(syms, default=0) + 1
-        return cls(syms, alphabet_size)
+            alphabet_size = int(max(text, default="0")) + 1
+        return cls(text, alphabet_size)
+
+    @property
+    def symbols(self) -> tuple[int, ...]:
+        return tuple(map(int, self.text))
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.text)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.symbols)
+        return map(int, self.text)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Word(self.symbols[index], self.alphabet_size)
-        return self.symbols[index]
+            return Word(self.text[index], self.alphabet_size)
+        return int(self.text[index])
 
     def __str__(self) -> str:
-        return bytes(self.symbols).translate(_DIGITS).decode("ascii")
+        return self.text
 
     def __lt__(self, other: Word) -> bool:
-        return self.symbols < other.symbols
+        return self.text < other.text
 
     def __add__(self, other: Word) -> Word:
         if other.alphabet_size != self.alphabet_size:
             raise ValueError("cannot concatenate words over different alphabets")
-        return Word(self.symbols + other.symbols, self.alphabet_size)
+        return Word(self.text + other.text, self.alphabet_size)
 
     def startswith(self, prefix: Word) -> bool:
-        return self.symbols[: len(prefix.symbols)] == prefix.symbols
+        return self.text.startswith(prefix.text)
 
 
 @dataclass(frozen=True)
@@ -91,6 +101,8 @@ class FactorSet:
         for m in self.members:
             if len(m) != self.length:
                 raise ValueError(f"member {m} does not have length {self.length}")
+        if len({m.alphabet_size for m in self.members}) > 1:
+            raise ValueError("members must share one alphabet")
 
     @classmethod
     def of(cls, length: int, words: Iterator[Word] | list[Word] | set[Word]) -> FactorSet:
@@ -146,23 +158,20 @@ class Builtin(StreamSpec):
             raise ValueError(f"unknown builtin {self.name!r}; choose from {BUILTIN_NAMES}")
 
 
-def _nonperiodic_binary() -> Iterator[int]:
+def _nonperiodic_binary() -> Iterator[str]:
     for run in itertools.count(0):
-        yield 1
-        yield from itertools.repeat(0, run)
+        yield "1"
+        yield from itertools.repeat("0", run)
 
 
-def _thue_squarefree_ternary() -> Iterator[int]:
+def _thue_squarefree_ternary() -> Iterator[str]:
     # Lazy fixed point of 0 -> 012, 1 -> 02, 2 -> 1 starting from 0.
-    images = ((0, 1, 2), (0, 2), (1,))
-    buf = [0, 1, 2]
+    images = {"0": "012", "1": "02", "2": "1"}
+    buf = list("012")
     yield from buf
-    i = 1
-    while True:
-        img = images[buf[i]]
-        buf.extend(img)
-        yield from img
-        i += 1
+    for c in itertools.islice(buf, 1, None):  # buf grows as it is read
+        buf.extend(images[c])
+        yield from images[c]
 
 
 def stream_alphabet_size(spec: StreamSpec) -> int:
@@ -175,17 +184,18 @@ def stream_alphabet_size(spec: StreamSpec) -> int:
     raise TypeError(f"not a stream spec: {spec!r}")
 
 
-def stream_symbols(spec: StreamSpec) -> Iterator[int]:
-    """Iterate the symbols of the described infinite word."""
+def stream_symbols(spec: StreamSpec) -> Iterator[str]:
+    """Iterate the symbols of the described infinite word, as digits."""
     if isinstance(spec, Periodic):
-        yield from spec.preamble.symbols
+        yield from spec.preamble.text
         while True:
-            yield from spec.period.symbols
+            yield from spec.period.text
     elif isinstance(spec, MorphicImage):
         if stream_alphabet_size(spec.inner) != spec.morphism.domain_size:
             raise ValueError("inner stream alphabet does not match morphism domain")
+        images = dict(zip(LETTERS, (img.text for img in spec.morphism.images)))
         for c in stream_symbols(spec.inner):
-            yield from spec.morphism.images[c].symbols
+            yield from images[c]
     elif isinstance(spec, Builtin):
         if spec.name == "nonperiodic-binary":
             yield from _nonperiodic_binary()
@@ -199,38 +209,36 @@ def stream_prefix(spec: StreamSpec, n: int) -> Word:
     """The first n symbols of the described infinite word."""
     if n < 0:
         raise ValueError("prefix length must be nonnegative")
-    syms = tuple(itertools.islice(stream_symbols(spec), n))
-    return Word(syms, stream_alphabet_size(spec))
+    text = "".join(itertools.islice(stream_symbols(spec), n))
+    return Word(text, stream_alphabet_size(spec))
 
 
 def reverse(w: Word) -> Word:
-    return Word(w.symbols[::-1], w.alphabet_size)
+    return Word(w.text[::-1], w.alphabet_size)
 
 
 def complement(w: Word) -> Word:
     """Flip every bit of a binary word."""
     if w.alphabet_size != 2:
         raise ValueError("complement is only defined for binary words")
-    return Word(tuple(1 - c for c in w.symbols), 2)
+    return Word(w.text.translate(_FLIP), 2)
 
 
 def cyclic_shifts(w: Word) -> frozenset[Word]:
     """All rotations of a nonempty word."""
     if len(w) == 0:
         raise ValueError("the empty word has no cyclic shifts")
-    return frozenset(
-        Word(w.symbols[i:] + w.symbols[:i], w.alphabet_size) for i in range(len(w))
-    )
+    t = w.text
+    return frozenset(Word(t[i:] + t[:i], w.alphabet_size) for i in range(len(t)))
 
 
 def factors(w: Word, n: int) -> FactorSet:
     """All distinct length-n contiguous subwords of w."""
     if n < 1:
         raise ValueError("factor length must be at least 1")
-    members = frozenset(
-        Word(w.symbols[i : i + n], w.alphabet_size) for i in range(len(w) - n + 1)
-    )
-    return FactorSet(n, members)
+    t = w.text
+    windows = {t[i : i + n] for i in range(len(t) - n + 1)}
+    return FactorSet(n, frozenset(Word(x, w.alphabet_size) for x in windows))
 
 
 def periodic_factors(spec: Periodic, n: int) -> FactorSet:
@@ -249,11 +257,10 @@ def periodic_factors(spec: Periodic, n: int) -> FactorSet:
 
 
 # Squares xx with |x| <= 31, found by the regex engine in O(31 n) steps.
-_SHORT_SQUARE = re.compile(r"(.{1,31})\1", re.DOTALL)
+_SHORT_SQUARE = re.compile(r"(.{1,31})\1")
 # Matched at a position, the square starting there with the shortest half.
-# The search kernel codes symbols as chr(0)-chr(9) and `first_square` as the
-# digits; with re.DOTALL "." matches any character, so neither coding matters.
-SHORTEST_SQUARE = re.compile(r"(.+?)\1", re.DOTALL)
+# Symbols are digits, so "." matches any of them.
+SHORTEST_SQUARE = re.compile(r"(.+?)\1")
 
 
 def _leftmost_square_start(text: str) -> int | None:
@@ -308,7 +315,7 @@ def first_square(w: Word) -> tuple[int, int] | None:
     and the lazy match runs only there, because a lazy search over a
     squarefree word is quadratic.
     """
-    text = str(w)
+    text = w.text
     start = _leftmost_square_start(text)
     if start is None:
         return None

@@ -54,6 +54,11 @@ def w(text, s=None):
     return Word.parse(text, s)
 
 
+def of_symbols(symbols, s):
+    """The word over s letters whose symbols are the given ints."""
+    return Word("".join(map(str, symbols)), s)
+
+
 class _Criterion:
     def __init__(self, name, budget_s):
         self.name = name
@@ -160,8 +165,8 @@ def test_criterion_6_binary_morphic_word():
         assert not has_reversal_conflict(fs)
         assert marker_sync_check(H_BINARY, w("000", 2)).synchronized
         for length in range(9):
-            for t in itertools.product(range(2), repeat=length):
-                u = Word(t, 2)
+            for t in itertools.product("01", repeat=length):
+                u = Word("".join(t), 2)
                 assert periodicity_transport_check(H_BINARY, apply(H_BINARY, u)) == u
 
 
@@ -203,18 +208,18 @@ def test_criterion_9_property_suite():
             for k in ks:
                 q = AvoidanceQuery(k)
                 for length in range(max_len + 1):
-                    naive = [
-                        Word(t, s)
-                        for t in itertools.product(range(s), repeat=length)
-                        if is_valid(Word(t, s), q)
-                    ]
+                    words = (
+                        Word("".join(t), s)
+                        for t in itertools.product("012"[:s], repeat=length)
+                    )
+                    naive = [x for x in words if is_valid(x, q)]
                     assert enumerate_valid(s, q, length) == naive
 
         # reverse and complement are involutions
         rng = random.Random(53)
         for _ in range(1000):
             s = rng.randint(2, 5)
-            word = Word(tuple(rng.randrange(s) for _ in range(rng.randint(0, 25))), s)
+            word = of_symbols([rng.randrange(s) for _ in range(rng.randint(0, 25))], s)
             assert reverse(reverse(word)) == word
             if s == 2:
                 assert complement(complement(word)) == word
@@ -223,8 +228,8 @@ def test_criterion_9_property_suite():
         morphisms = [H_TERNARY, H_BINARY, H_FIVE]
         for _ in range(1000):
             h = rng.choice(morphisms)
-            u = Word(tuple(rng.randrange(h.domain_size) for _ in range(rng.randint(0, 12))), h.domain_size)
-            v = Word(tuple(rng.randrange(h.domain_size) for _ in range(rng.randint(0, 12))), h.domain_size)
+            u = of_symbols([rng.randrange(h.domain_size) for _ in range(rng.randint(0, 12))], h.domain_size)
+            v = of_symbols([rng.randrange(h.domain_size) for _ in range(rng.randint(0, 12))], h.domain_size)
             assert apply(h, u + v) == apply(h, u) + apply(h, v)
 
         # the length-k reduction agrees with the full quantifier
@@ -232,5 +237,5 @@ def test_criterion_9_property_suite():
             s = rng.randint(2, 4)
             k = rng.randint(2, 5)
             n = rng.randint(k, 14)
-            word = Word(tuple(rng.randrange(s) for _ in range(n)), s)
+            word = of_symbols([rng.randrange(s) for _ in range(n)], s)
             assert reduction_equivalence(word, k)

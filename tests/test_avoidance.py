@@ -27,6 +27,11 @@ def w(text, s=None):
     return Word.parse(text, s)
 
 
+def of_symbols(symbols, s):
+    """The word over s letters whose symbols are the given ints."""
+    return Word("".join(map(str, symbols)), s)
+
+
 def fs(texts, s):
     words = frozenset(Word.parse(t, s) for t in texts)
     return FactorSet(len(next(iter(words))), words)
@@ -34,15 +39,16 @@ def fs(texts, s):
 
 def naive_valid(word, k, require_squarefree=False):
     """Full-quantifier oracle: checks every subword length >= k."""
-    n = len(word)
+    syms = word.symbols
+    n = len(syms)
     for m in range(k, n + 1):
-        subs = {word.symbols[i : i + m] for i in range(n - m + 1)}
+        subs = {syms[i : i + m] for i in range(n - m + 1)}
         if any(t[::-1] in subs for t in subs):
             return False
     if require_squarefree:
         for i in range(n):
             for half in range(1, (n - i) // 2 + 1):
-                if word.symbols[i : i + half] == word.symbols[i + half : i + 2 * half]:
+                if syms[i : i + half] == syms[i + half : i + 2 * half]:
                     return False
     return True
 
@@ -63,10 +69,10 @@ class TestReversalConflict:
             k = rng.randint(1, 6)
             half = tuple(rng.randrange(2) for _ in range(k // 2))
             mid = (rng.randrange(2),) if k % 2 else ()
-            word = Word(half + mid + half[::-1], 2)
+            word = of_symbols(half + mid + half[::-1], 2)
             assert word == reverse(word)
             others = {
-                Word(tuple(rng.randrange(2) for _ in range(k)), 2) for _ in range(3)
+                of_symbols([rng.randrange(2) for _ in range(k)], 2) for _ in range(3)
             }
             assert has_reversal_conflict(FactorSet(k, frozenset({word}) | others))
 
@@ -109,7 +115,7 @@ class TestIsValid:
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 10).flatmap(
-            lambda s: st.lists(st.integers(0, s - 1), max_size=30).map(lambda t: Word(tuple(t), s))
+            lambda s: st.lists(st.integers(0, s - 1), max_size=30).map(lambda t: of_symbols(t, s))
         ),
         st.integers(1, 4),
     )
@@ -123,19 +129,19 @@ class TestIsValid:
             assert witness is None
             return
         x = conflicts[0]
-        assert witness == ConflictWitness(Word(x, word.alphabet_size), windows.index(x), windows.index(x[::-1]))
+        assert witness == ConflictWitness(of_symbols(x, word.alphabet_size), windows.index(x), windows.index(x[::-1]))
 
     def test_agrees_with_full_quantifier_binary(self):
         for k in (2, 3, 5):
             for n in range(13):
                 for t in itertools.product(range(2), repeat=n):
-                    word = Word(t, 2)
+                    word = of_symbols(t, 2)
                     assert is_valid(word, AvoidanceQuery(k)) == naive_valid(word, k)
 
     def test_agrees_with_full_quantifier_ternary(self):
         for n in range(10):
             for t in itertools.product(range(3), repeat=n):
-                word = Word(t, 3)
+                word = of_symbols(t, 3)
                 assert is_valid(word, AvoidanceQuery(2)) == naive_valid(word, 2)
 
     def test_closed_under_subwords(self):
@@ -143,7 +149,7 @@ class TestIsValid:
         q = AvoidanceQuery(3)
         checked = 0
         while checked < 40:
-            word = Word(tuple(rng.randrange(3) for _ in range(10)), 3)
+            word = of_symbols([rng.randrange(3) for _ in range(10)], 3)
             if not is_valid(word, q):
                 continue
             checked += 1
@@ -156,7 +162,7 @@ class TestIsValid:
         for _ in range(300):
             k = rng.randint(2, 5)
             q = AvoidanceQuery(k)
-            word = Word(tuple(rng.randrange(2) for _ in range(rng.randint(0, 14))), 2)
+            word = of_symbols([rng.randrange(2) for _ in range(rng.randint(0, 14))], 2)
             v = is_valid(word, q)
             assert is_valid(reverse(word), q) == v
             assert is_valid(complement(word), q) == v
@@ -168,8 +174,8 @@ class TestIsValid:
             perm = list(range(s))
             rng.shuffle(perm)
             q = AvoidanceQuery(rng.randint(2, 4))
-            word = Word(tuple(rng.randrange(s) for _ in range(rng.randint(0, 12))), s)
-            permuted = Word(tuple(perm[c] for c in word.symbols), s)
+            word = of_symbols([rng.randrange(s) for _ in range(rng.randint(0, 12))], s)
+            permuted = of_symbols([perm[c] for c in word.symbols], s)
             assert is_valid(word, q) == is_valid(permuted, q)
 
 
@@ -188,7 +194,7 @@ class TestReductionEquivalence:
             s = rng.randint(2, 4)
             k = rng.randint(2, 5)
             n = rng.randint(k, 14)
-            word = Word(tuple(rng.randrange(s) for _ in range(n)), s)
+            word = of_symbols([rng.randrange(s) for _ in range(n)], s)
             assert reduction_equivalence(word, k)
 
 

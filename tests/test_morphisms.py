@@ -33,7 +33,7 @@ def w(text, s=None):
 
 
 def random_word(rng, s, max_len=12):
-    return Word(tuple(rng.randrange(s) for _ in range(rng.randint(0, max_len))), s)
+    return Word("".join(str(rng.randrange(s)) for _ in range(rng.randint(0, max_len))), s)
 
 
 class TestMorphism:
@@ -52,6 +52,11 @@ class TestMorphism:
     def test_empty_image_rejected(self):
         with pytest.raises(ValueError):
             Morphism.from_strings(["01", ""], 2)
+
+    def test_at_most_ten_letters(self):
+        # domain letters are digits too, so an eleventh letter has no symbol
+        with pytest.raises(ValueError):
+            Morphism.from_strings(["0"] * 11, 1)
 
     def test_parse_round_trip(self):
         text = format_morphism(H_BINARY)
@@ -118,6 +123,14 @@ class TestImageFactorSet:
         with pytest.raises(ValueError):
             image_factor_set(H_TERNARY, 9, all_words_universe(2, 2))
 
+    def test_universe_over_another_alphabet_rejected(self):
+        # a unary universe misses the binary pairs 01, 10 and 11: its image
+        # windows are 4 of T2's 7, an unsound certificate
+        with pytest.raises(ValueError):
+            image_factor_set(H_TERNARY, 3, all_words_universe(1, 2))
+        with pytest.raises(ValueError):
+            image_factor_set(H_TERNARY, 3, all_words_universe(3, 2))
+
     def test_matches_stream_factors(self):
         # the nonperiodic builtin realizes every binary pair, so the
         # over-approximated image set equals the factor set of its image
@@ -171,6 +184,11 @@ class TestMarkerSync:
         with pytest.raises(ValueError):
             marker_sync_check(H_FIVE, w("0120", 5))
 
+    def test_marker_over_another_alphabet_rejected(self):
+        # a binary 00 is not a word of the ternary images it is looked for in
+        with pytest.raises(ValueError):
+            marker_sync_check(H_TERNARY, w("00", 2))
+
 
 class TestSquarefreeMorphismTest:
     def test_five_letter_morphism_passes(self):
@@ -181,11 +199,8 @@ class TestSquarefreeMorphismTest:
 
     def test_preimages_are_the_squarefree_length_3_words(self):
         result = squarefree_morphism_test(H_FIVE)
-        expected = sorted(
-            Word(t, 3)
-            for t in itertools.product(range(3), repeat=3)
-            if is_squarefree(Word(t, 3))
-        )
+        words = (Word("".join(t), 3) for t in itertools.product("012", repeat=3))
+        expected = sorted(filter(is_squarefree, words))
         assert list(result.preimages) == expected
 
     def test_identity_passes(self):
@@ -234,3 +249,8 @@ class TestBlockDecode:
             periodicity_transport_check(
                 Morphism.from_strings(["012", "02", "1"], 3), w("012", 3)
             )
+
+    def test_word_over_another_alphabet_rejected(self):
+        # the digits of h(0) over 5 letters are not the binary image h(0)
+        with pytest.raises(ValueError):
+            periodicity_transport_check(H_BINARY, w("0001011", 5))

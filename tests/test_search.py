@@ -36,8 +36,8 @@ B = rotation_family(w("001011", 2))
 
 def naive_enumerate(s, q, length):
     out = []
-    for t in itertools.product(range(s), repeat=length):
-        word = Word(t, s)
+    for t in itertools.product("0123456789"[:s], repeat=length):
+        word = Word("".join(t), s)
         if is_valid(word, q):
             out.append(word)
     return out
@@ -98,7 +98,7 @@ class TestEnumerateValid:
         q = AvoidanceQuery(k, squarefree)
         path = _Path(q)
         dfs = [
-            Word(tuple(ord(ch) for ch in reversed(path.rev)), s)
+            Word(path.rev[::-1], s)
             for d in _walk(path, s, length, s)
             if d == length
         ]
@@ -177,11 +177,26 @@ class TestMaxValidLength:
             max_valid_length(2, AvoidanceQuery(2), cap=0)
 
 
+@pytest.mark.parametrize("s", [0, 11])
+def test_alphabet_size_checked_before_search(s):
+    # every symbol is one digit, so an alphabet has 1..10 letters
+    with pytest.raises(ValueError):
+        enumerate_valid(s, AvoidanceQuery(1), 5)
+    with pytest.raises(ValueError):
+        max_valid_length(s, AvoidanceQuery(1), 5)
+    with pytest.raises(ValueError):
+        max_valid_length(s, AvoidanceQuery(2), 5)
+    with pytest.raises(ValueError):
+        forced_extension_check(s, 2, w("0", 2), 5)
+
+
 class TestKernel:
     @settings(max_examples=500, deadline=None)
     @given(
         st.integers(1, 10).flatmap(
-            lambda s: st.lists(st.integers(0, s - 1), max_size=30).map(lambda t: Word(tuple(t), s))
+            lambda s: st.lists(st.integers(0, s - 1), max_size=30).map(
+                lambda t: Word("".join(map(str, t)), s)
+            )
         ),
         st.integers(1, 4),
         st.booleans(),
@@ -190,9 +205,9 @@ class TestKernel:
         q = AvoidanceQuery(k, squarefree)
         path = _Path(q)
         pushed = 0
-        for c in word:
+        for c in str(word):
             before = (path.rev, set(path.windows), list(path.added))
-            for other in range(word.alphabet_size):
+            for other in "0123456789"[: word.alphabet_size]:
                 if path.try_push(other):
                     path.pop()
                 assert (path.rev, path.windows, path.added) == before
@@ -202,7 +217,7 @@ class TestKernel:
                 break
             pushed += 1
         assert (pushed == len(word)) == is_valid(word, q)
-        assert path.rev == "".join(chr(c) for c in reversed(word.symbols[:pushed]))
+        assert path.rev == "".join(str(c) for c in reversed(word.symbols[:pushed]))
 
 
 class TestForcedExtension:

@@ -28,6 +28,11 @@ def w(text, s=None):
     return Word.parse(text, s)
 
 
+def of_symbols(symbols, s):
+    """The word over s letters whose symbols are the given ints."""
+    return Word("".join(map(str, symbols)), s)
+
+
 def naive_first_square(word):
     # independent oracle: try every start, then every half-length
     syms = word.symbols
@@ -64,7 +69,7 @@ T8_PREFIX = stream_prefix(
 
 
 def t8_window(offset, length):
-    return list(T8_PREFIX.symbols[offset : offset + length])
+    return list(T8_PREFIX[offset : offset + length])
 
 
 def with_square(symbols, position, half):
@@ -80,28 +85,48 @@ class TestWord:
         assert str(w("", 2)) == ""
         assert len(w("00101", 2)) == 5
 
-    @given(
-        st.integers(1, 10).flatmap(
-            lambda s: st.lists(st.integers(0, s - 1), max_size=40).map(lambda t: Word(tuple(t), s))
-        )
-    )
-    def test_str_is_one_digit_per_symbol(self, word):
-        assert str(word) == "".join(str(c) for c in word.symbols)
-        assert Word.parse(str(word), word.alphabet_size) == word
+    @given(st.data())
+    def test_str_is_one_digit_per_symbol(self, data):
+        # a pair of words over one alphabet of 1..10 letters, the second
+        # sharing a prefix of the first, so that order and startswith are
+        # decided at every position, and by length when one is a prefix
+        s = data.draw(st.integers(1, 10))
+        syms = st.lists(st.integers(0, s - 1), max_size=40)
+        a = tuple(data.draw(syms))
+        b = a[: data.draw(st.integers(0, len(a)))] + tuple(data.draw(syms))
+        u, v = of_symbols(a, s), of_symbols(b, s)
+        for word, t in ((u, a), (v, b)):
+            assert str(word) == "".join(str(c) for c in t)
+            assert Word.parse(str(word), s) == word
+            assert word.symbols == t and list(word) == list(t)
+            assert [word[i] for i in range(-len(t), len(t))] == list(t + t)
+        assert (u < v) == (a < b) and (v < u) == (b < a)
+        assert [x.symbols for x in sorted([u, v])] == sorted([a, b])
+        assert (u == v) == (a == b)
+        if a == b:
+            assert hash(u) == hash(v)
+        i, j = data.draw(st.integers(-45, 45)), data.draw(st.integers(-45, 45))
+        step = data.draw(st.sampled_from([None, 1, 2, -1]))
+        assert u[i:j:step] == of_symbols(a[i:j:step], s)
+        assert (u + v).symbols == a + b and (u + v).alphabet_size == s
+        assert u.startswith(v) == (a[: len(b)] == b)
+        assert v.startswith(u) == (b[: len(a)] == a)
 
     def test_symbols_must_fit_alphabet(self):
         with pytest.raises(ValueError):
-            Word((0, 2), 2)
+            Word("02", 2)
         with pytest.raises(ValueError):
-            Word((0,), 0)
+            Word("0", 0)
+        with pytest.raises(ValueError):  # a stray symbol inside the word
+            Word("0a1", 2)
 
     def test_alphabet_is_at_most_ten(self):
         # with 11 letters "10" could be the symbol 10 or the word 1.0
-        assert str(Word((9,), 10)) == "9"
+        assert str(Word("9", 10)) == "9"
         with pytest.raises(ValueError):
-            Word((1, 0), 11)
+            Word("10", 11)
         with pytest.raises(ValueError):
-            Word((10,), 11)
+            Word("", 11)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -133,7 +158,7 @@ class TestReverse:
         rng = random.Random(7)
         for _ in range(200):
             s = rng.randint(1, 5)
-            word = Word(tuple(rng.randrange(s) for _ in range(rng.randint(0, 20))), s)
+            word = of_symbols([rng.randrange(s) for _ in range(rng.randint(0, 20))], s)
             assert reverse(reverse(word)) == word
 
 
@@ -146,7 +171,7 @@ class TestComplement:
     def test_involution(self):
         rng = random.Random(11)
         for _ in range(200):
-            word = Word(tuple(rng.randrange(2) for _ in range(rng.randint(0, 20))), 2)
+            word = of_symbols([rng.randrange(2) for _ in range(rng.randint(0, 20))], 2)
             assert complement(complement(word)) == word
 
     def test_rejects_non_binary(self):
@@ -176,10 +201,10 @@ class TestCyclicShifts:
         rng = random.Random(3)
         for _ in range(50):
             s = rng.randint(2, 4)
-            word = Word(tuple(rng.randrange(s) for _ in range(rng.randint(1, 10))), s)
+            word = of_symbols([rng.randrange(s) for _ in range(rng.randint(1, 10))], s)
             shifts = cyclic_shifts(word)
             for member in shifts:
-                rotated = Word(member.symbols[1:] + member.symbols[:1], s)
+                rotated = of_symbols(member.symbols[1:] + member.symbols[:1], s)
                 assert rotated in shifts
             assert len(word) % len(shifts) == 0
 
@@ -194,7 +219,7 @@ class TestFactors:
         # oracle: slide a window and collect distinct values
         word = w("00101100", 2)
         expected = {
-            Word(word.symbols[i : i + 5], 2) for i in range(len(word) - 4)
+            of_symbols(word.symbols[i : i + 5], 2) for i in range(len(word) - 4)
         }
         assert expected == {w(t, 2) for t in ("00101", "01011", "10110", "01100")}
         assert factors(word, 5).members == expected
@@ -209,13 +234,19 @@ class TestFactors:
     def test_count_bound(self):
         rng = random.Random(5)
         for _ in range(100):
-            word = Word(tuple(rng.randrange(3) for _ in range(rng.randint(0, 15))), 3)
+            word = of_symbols([rng.randrange(3) for _ in range(rng.randint(0, 15))], 3)
             n = rng.randint(1, 8)
             assert len(factors(word, n)) <= max(0, len(word) - n + 1)
 
     def test_factor_set_rejects_mixed_lengths(self):
         with pytest.raises(ValueError):
             FactorSet(2, frozenset({w("01", 2), w("011", 2)}))
+
+    def test_factor_set_rejects_mixed_alphabets(self):
+        # "10" is the reversal of "01", but over another alphabet they are
+        # different words, and a reversal test would miss the pair
+        with pytest.raises(ValueError):
+            FactorSet.of(2, [w("01", 2), w("10", 3)])
 
 
 class TestStreams:
@@ -252,8 +283,8 @@ class TestStreams:
         rng = random.Random(13)
         for _ in range(60):
             s = rng.randint(2, 3)
-            period = Word(tuple(rng.randrange(s) for _ in range(rng.randint(1, 7))), s)
-            preamble = Word(tuple(rng.randrange(s) for _ in range(rng.randint(0, 3))), s)
+            period = of_symbols([rng.randrange(s) for _ in range(rng.randint(1, 7))], s)
+            preamble = of_symbols([rng.randrange(s) for _ in range(rng.randint(0, 3))], s)
             spec = Periodic(preamble, period)
             for n in range(1, 9):
                 big = len(preamble) + ((n - 1) // len(period) + 2) * len(period) + n
@@ -272,27 +303,27 @@ class TestSquarefree:
 
     def test_agrees_with_oracle_exhaustive_binary(self):
         for n in range(14):
-            for t in itertools.product(range(2), repeat=n):
-                word = Word(t, 2)
+            for t in itertools.product("01", repeat=n):
+                word = Word("".join(t), 2)
                 assert is_squarefree(word) == naive_squarefree(word)
 
     def test_agrees_with_oracle_exhaustive_ternary(self):
         # ternary exhaustively up to length 9 (the naive oracle is cubic)
         for n in range(10):
-            for t in itertools.product(range(3), repeat=n):
-                word = Word(t, 3)
+            for t in itertools.product("012", repeat=n):
+                word = Word("".join(t), 3)
                 assert is_squarefree(word) == naive_squarefree(word)
 
     def test_agrees_with_oracle_random(self):
         rng = random.Random(17)
         for _ in range(300):
             s = rng.randint(2, 5)
-            word = Word(tuple(rng.randrange(s) for _ in range(rng.randint(0, 40))), s)
+            word = of_symbols([rng.randrange(s) for _ in range(rng.randint(0, 40))], s)
             assert is_squarefree(word) == naive_squarefree(word)
 
     @settings(max_examples=500, deadline=None)
     @given(st.integers(2, 5).flatmap(
-        lambda s: st.lists(st.integers(0, s - 1), max_size=40).map(lambda t: Word(tuple(t), s))
+        lambda s: st.lists(st.integers(0, s - 1), max_size=40).map(lambda t: of_symbols(t, s))
     ))
     def test_first_square_is_leftmost_then_shortest(self, word):
         assert first_square(word) == naive_first_square(word)
@@ -316,7 +347,7 @@ def t8_windows_with_square(draw):
     symbols = with_square(symbols, draw(st.integers(0, length)), draw(st.integers(1, 100)))
     if symbols and draw(st.booleans()):
         symbols[draw(st.integers(0, len(symbols) - 1))] = draw(st.integers(0, 4))
-    return Word(tuple(symbols), 5)
+    return of_symbols(symbols, 5)
 
 
 class TestLongSquares:
@@ -332,47 +363,47 @@ class TestLongSquares:
             symbols = with_square(symbols, rng.randrange(length - half + 1), half)
             if rng.random() < 0.5:
                 symbols[rng.randrange(len(symbols))] = rng.randrange(5)
-            word = Word(tuple(symbols), 5)
+            word = of_symbols(symbols, 5)
             assert first_square(word) == regex_first_square(word)
 
     def test_unary_and_periodic_words(self):
         for period in ((0,), (0, 1), (0, 1, 2), tuple(range(10)), tuple(t8_window(7, 100))):
             for length in (63, 64, 65, 500, 4_097):
                 symbols = (period * length)[:length]
-                word = Word(symbols, max(symbols) + 1)
+                word = of_symbols(symbols, max(symbols) + 1)
                 assert first_square(word) == regex_first_square(word)
             prefix = t8_window(0, 3_000)
-            word = Word(tuple(prefix) + period * 40, 10)
+            word = of_symbols(tuple(prefix) + period * 40, 10)
             assert first_square(word) == regex_first_square(word)
 
     def test_squares_at_the_ends(self):
         symbols = t8_window(1_234, 3_000)
         for half in (1, 31, 32, 63, 64, 200, 1_500):
-            at_start = Word(tuple(with_square(symbols, 0, half)), 5)
+            at_start = of_symbols(with_square(symbols, 0, half), 5)
             assert first_square(at_start) == (0, half)
-            at_end = Word(tuple(symbols + symbols[-half:]), 5)
+            at_end = of_symbols(symbols + symbols[-half:], 5)
             assert first_square(at_end) == regex_first_square(at_end)
-            whole = Word(tuple(with_square(symbols[:half], 0, half)), 5)
+            whole = of_symbols(with_square(symbols[:half], 0, half), 5)
             assert first_square(whole) == (0, half)
 
     def test_long_square_left_of_a_shorter_one(self):
         symbols = t8_window(500, 4_000)
         for half in (32, 64, 100, 1_000):
             long_first = with_square(with_square(symbols, 2_500, 2), 100, half)
-            word = Word(tuple(long_first), 5)
+            word = of_symbols(long_first, 5)
             assert first_square(word) == regex_first_square(word) == (100, half)
         # a square of half 1, four symbols in, inside both halves of a longer
         # one: the long square's first block boundary lies past the short one
         for half in (40, 100, 500):
             x = symbols[97 : 97 + half]
             x = x[:5] + [x[4]] + x[5:]
-            word = Word(tuple(symbols[:97] + x + x + symbols[97 + half :]), 5)
+            word = of_symbols(symbols[:97] + x + x + symbols[97 + half :], 5)
             assert first_square(word) == regex_first_square(word) == (97, half + 1)
 
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(
         st.integers(1, 5).flatmap(
-            lambda s: st.lists(st.integers(0, s - 1), max_size=300).map(lambda t: Word(tuple(t), s))
+            lambda s: st.lists(st.integers(0, s - 1), max_size=300).map(lambda t: of_symbols(t, s))
         ),
         t8_windows_with_square(),
     ))
