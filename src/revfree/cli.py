@@ -34,6 +34,7 @@ from .search import (
     rotation_family,
 )
 from .words import (
+    BUILTIN_NAMES,
     Builtin,
     FactorSet,
     MorphicImage,
@@ -101,13 +102,13 @@ def cmd_check(args: argparse.Namespace) -> Result:
 
 
 def cmd_factors(args: argparse.Namespace) -> Result:
-    if args.period is not None:
-        period = Word.parse(args.period, args.alphabet)
-        preamble = Word.parse(args.preamble or "", args.alphabet)
-        return _factor_set(periodic_factors(Periodic(preamble, period), args.length))
     if args.word is not None:
+        if args.preamble is not None:
+            raise UsageError("--preamble needs --period")
         return _factor_set(factors(Word.parse(args.word, args.alphabet), args.length))
-    raise UsageError("factors needs --word or --period")
+    period = Word.parse(args.period, args.alphabet)
+    preamble = Word.parse(args.preamble or "", args.alphabet)
+    return _factor_set(periodic_factors(Periodic(preamble, period), args.length))
 
 
 def cmd_search(args: argparse.Namespace) -> Result:
@@ -156,12 +157,12 @@ def cmd_morphic_apply(args: argparse.Namespace) -> Result:
 def cmd_morphic_stream(args: argparse.Namespace) -> Result:
     h = _load_morphism(args.morphism)
     if args.inner_builtin is not None:
+        if args.inner_preamble is not None:
+            raise UsageError("--inner-preamble needs --inner-period")
         inner = Builtin(args.inner_builtin)
-    elif args.inner_period is not None:
+    else:
         period = Word.parse(args.inner_period, h.domain_size)
         inner = Periodic(Word.parse(args.inner_preamble or "", h.domain_size), period)
-    else:
-        raise UsageError("morphic stream needs --inner-builtin or --inner-period")
     return {}, [str(stream_prefix(MorphicImage(h, inner), args.length))], 0
 
 
@@ -246,9 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("factors", help="length-n factor set of a word or periodic word")
-    p.add_argument("--word")
-    p.add_argument("--period")
-    p.add_argument("--preamble")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--word")
+    given.add_argument("--period")
+    p.add_argument("--preamble", help="with --period only")
     p.add_argument("-n", "--length", type=int, required=True)
     add_common(p)
     p.set_defaults(func=cmd_factors)
@@ -280,9 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     mp = msub.add_parser("stream", help="prefix of the morphic image of an infinite word")
     mp.add_argument("--morphism", required=True, metavar="FILE")
     mp.add_argument("--length", type=int, required=True)
-    mp.add_argument("--inner-builtin", choices=("nonperiodic-binary", "thue-squarefree-ternary"))
-    mp.add_argument("--inner-period")
-    mp.add_argument("--inner-preamble")
+    inner = mp.add_mutually_exclusive_group(required=True)
+    inner.add_argument("--inner-builtin", choices=BUILTIN_NAMES)
+    inner.add_argument("--inner-period")
+    mp.add_argument("--inner-preamble", help="with --inner-period only")
     mp.set_defaults(func=cmd_morphic_stream)
 
     mp = msub.add_parser("factor-set", help="image factor set over a preimage universe")
@@ -290,29 +293,29 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("-k", type=int, required=True)
     mp.add_argument("--universe-length", type=int, default=2)
     mp.add_argument("--squarefree-universe", action="store_true")
-    mp.add_argument("--json", action="store_true")
+    add_common(mp, alphabet=False)
     mp.set_defaults(func=cmd_morphic_factor_set)
 
     mp = msub.add_parser("marker", help="marker synchronization report")
     mp.add_argument("--morphism", required=True, metavar="FILE")
     mp.add_argument("--marker", required=True)
-    mp.add_argument("--json", action="store_true")
+    add_common(mp, alphabet=False)
     mp.set_defaults(func=cmd_morphic_marker)
 
     mp = msub.add_parser("squarefree-test", help="squarefreeness test for ternary morphisms "
                          "on 12 preimages, or 30 if not uniform")
     mp.add_argument("--morphism", required=True, metavar="FILE")
-    mp.add_argument("--json", action="store_true")
+    add_common(mp, alphabet=False)
     mp.set_defaults(func=cmd_morphic_squarefree_test)
 
     p = sub.add_parser("match-periodic",
                        help="match a binary prefix against the periodic family for k=5")
     p.add_argument("--word", required=True)
-    p.add_argument("--json", action="store_true")
+    add_common(p, alphabet=False)
     p.set_defaults(func=cmd_match_periodic)
 
     p = sub.add_parser("verify-paper", help="re-run all eight claim verifications")
-    p.add_argument("--json", action="store_true")
+    add_common(p, alphabet=False)
     p.set_defaults(func=cmd_verify_paper)
 
     return parser

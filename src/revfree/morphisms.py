@@ -54,6 +54,11 @@ class Morphism:
             raise ValueError("non-uniform morphism has no single image length")
         return len(self.images[0])
 
+    @property
+    def table(self) -> dict[int, str]:
+        """The `str.translate` table taking each letter to its image."""
+        return {ord(c): img.text for c, img in zip(LETTERS, self.images)}
+
 
 def parse_morphism(text: str) -> Morphism:
     """Parse the textual format, one `symbol -> image` line per letter, e.g.
@@ -93,8 +98,7 @@ def apply(h: Morphism, w: Word) -> Word:
     """The letterwise image h(w)."""
     if w.text.strip(LETTERS[: h.domain_size]):
         raise ValueError(f"{w} has a symbol outside morphism domain of size {h.domain_size}")
-    table = {ord(c): img.text for c, img in zip(LETTERS, h.images)}
-    return Word(w.text.translate(table), h.codomain_size)
+    return Word(w.text.translate(h.table), h.codomain_size)
 
 
 def all_words_universe(s: int, m: int) -> FactorSet:
@@ -155,8 +159,8 @@ def marker_sync_check(h: Morphism, marker: Word) -> MarkerReport:
     if marker.alphabet_size != h.codomain_size:
         raise ValueError("the marker is not over the morphism's codomain alphabet")
     block = h.image_length
-    if len(marker) > block:
-        raise ValueError("marker longer than the image length")
+    if not 1 <= len(marker) <= block:
+        raise ValueError(f"marker length {len(marker)} is not in 1..{block}, the image length")
     # the marked block: the one image that starts with the marker, if unique
     starting = {img for img in h.images if img.startswith(marker)}
     marked = starting.pop() if len(starting) == 1 else None

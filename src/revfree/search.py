@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .avoidance import AvoidanceQuery
-from .words import LETTERS, SHORTEST_SQUARE, Word, alphabet, complement, cyclic_shifts
+from .words import LETTERS, SHORTEST_SQUARE, Periodic, Word, alphabet, complement, cyclic_shifts
 
 
 @dataclass(frozen=True)
@@ -200,10 +200,7 @@ class CharacterizationReport:
     exceptions: tuple[Word, ...]
 
 
-def characterization_facts(
-    b: frozenset[Word] | set[Word],
-    preambles: tuple[Word, ...] = STANDARD_PREAMBLES,
-) -> CharacterizationReport:
+def characterization_facts(b: frozenset[Word] | set[Word]) -> CharacterizationReport:
     """The two finite facts underlying the ultimate-periodicity result for
     binary words valid at k=5.
 
@@ -224,7 +221,7 @@ def characterization_facts(
     fact1 = True
     for w in valid9:
         if not any(
-            w.startswith(p) and w[len(p) : len(p) + 6] in b for p in preambles
+            w.startswith(p) and w[len(p) : len(p) + 6] in b for p in STANDARD_PREAMBLES
         ):
             fact1 = False
             exceptions.append(w)
@@ -239,12 +236,10 @@ def characterization_facts(
 
 
 def match_ultimately_periodic(
-    prefix: Word,
-    b: frozenset[Word] | set[Word],
-    preambles: tuple[Word, ...] = STANDARD_PREAMBLES,
+    prefix: Word, b: frozenset[Word] | set[Word]
 ) -> tuple[Word, Word] | None:
     """Match the prefix against the family preamble.period^omega with the
-    period drawn from b.
+    preamble drawn from STANDARD_PREAMBLES and the period from b.
 
     Decompositions are not unique (shifting one symbol from the period into
     the preamble can describe the same stream), so the canonical answer is the
@@ -253,15 +248,11 @@ def match_ultimately_periodic(
     """
     if len(prefix) < 15:
         raise ValueError("need at least 15 symbols to match")
-    matches: list[tuple[Word, Word]] = []
-    for p in preambles:
-        if not prefix.startswith(p):
-            continue
-        rest = prefix.text[len(p) :]
-        for y in b:
-            if (y.text * (len(rest) // len(y) + 1)).startswith(rest):
-                matches.append((p, y))
-    if not matches:
-        return None
-    return min(matches, key=lambda m: (len(m[0]), m[0].text, m[1].text))
+    # STANDARD_PREAMBLES runs shortest first, then in digit order, so the
+    # first preamble with a match gives the canonical answer
+    for p in STANDARD_PREAMBLES:
+        periods = [y for y in b if Periodic(p, y)._prefix(len(prefix)) == prefix.text]
+        if periods:
+            return p, min(periods)
+    return None
 

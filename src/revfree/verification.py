@@ -38,7 +38,6 @@ from .words import (
     Periodic,
     Word,
     cyclic_shifts,
-    factors,
     is_squarefree,
     periodic_factors,
     stream_prefix,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
@@ -10,7 +10,6 @@ from typing import TYPE_CHECKING, Iterator
 if TYPE_CHECKING:
     from .morphisms import Morphism
 
-BUILTIN_NAMES = ("nonperiodic-binary", "thue-squarefree-ternary")
 # The symbol i of every alphabet is the digit LETTERS[i]: a word is its digit string.
 LETTERS = "0123456789"
 _FLIP = str.maketrans("01", "10")
@@ -104,10 +103,6 @@ class FactorSet:
         if len({m.alphabet_size for m in self.members}) > 1:
             raise ValueError("members must share one alphabet")
 
-    @classmethod
-    def of(cls, length: int, words: Iterator[Word] | list[Word] | set[Word]) -> FactorSet:
-        return cls(length, frozenset(words))
-
     def __contains__(self, w: Word) -> bool:
         return w in self.members
 
@@ -119,7 +114,8 @@ class FactorSet:
 
 
 class StreamSpec:
-    """Finite description of an infinite word."""
+    """Finite description of an infinite word: each kind gives its
+    `alphabet_size` and `_prefix(n)`, its first n symbols as one digit string."""
 
 
 @dataclass(frozen=True)
@@ -135,6 +131,14 @@ class Periodic(StreamSpec):
         if self.preamble.alphabet_size != self.period.alphabet_size:
             raise ValueError("preamble and period must share an alphabet")
 
+    @property
+    def alphabet_size(self) -> int:
+        return self.period.alphabet_size
+
+    def _prefix(self, n: int) -> str:
+        period = self.period.text
+        return (self.preamble.text + period * (n // len(period) + 1))[:n]
+
 
 @dataclass(frozen=True)
 class MorphicImage(StreamSpec):
@@ -143,10 +147,47 @@ class MorphicImage(StreamSpec):
     morphism: "Morphism"
     inner: StreamSpec
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.inner, StreamSpec):
+            raise TypeError(f"not a stream spec: {self.inner!r}")
+        if self.inner.alphabet_size != self.morphism.domain_size:
+            raise ValueError("inner stream alphabet does not match morphism domain")
+
+    @property
+    def alphabet_size(self) -> int:
+        return self.morphism.codomain_size
+
+    def _prefix(self, n: int) -> str:
+        # images are nonempty, so n inner symbols give at least n symbols
+        return self.inner._prefix(n).translate(self.morphism.table)[:n]
+
+
+def _thue_prefix(n: int) -> str:
+    # Iterates of 0 -> 012, 1 -> 02, 2 -> 1 on "0": each extends the last,
+    # because the image of 0 starts with 0.
+    table = str.maketrans({"0": "012", "1": "02", "2": "1"})
+    text = "0"
+    while len(text) < n:
+        text = text.translate(table)
+    return text[:n]
+
+
+def _runs_prefix(n: int) -> str:
+    # The runs 1, 10, 100, ...: r of them hold r(r + 1)/2 > n symbols once r > sqrt(2n).
+    return "".join("1" + "0" * r for r in range(math.isqrt(2 * n) + 1))[:n]
+
+
+# name -> (alphabet size, builder of the first n symbols)
+_BUILTINS = {
+    "nonperiodic-binary": (2, _runs_prefix),
+    "thue-squarefree-ternary": (3, _thue_prefix),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
 
 @dataclass(frozen=True)
 class Builtin(StreamSpec):
-    """A named generator: "nonperiodic-binary" (the concatenation 1 10 100
+    """A named word: "nonperiodic-binary" (the concatenation 1 10 100
     1000 ..., nonperiodic since its runs of zeros strictly grow) or
     "thue-squarefree-ternary" (the squarefree fixed point of 0 -> 012,
     1 -> 02, 2 -> 1)."""
@@ -154,63 +195,24 @@ class Builtin(StreamSpec):
     name: str
 
     def __post_init__(self) -> None:
-        if self.name not in BUILTIN_NAMES:
+        if self.name not in _BUILTINS:
             raise ValueError(f"unknown builtin {self.name!r}; choose from {BUILTIN_NAMES}")
 
+    @property
+    def alphabet_size(self) -> int:
+        return _BUILTINS[self.name][0]
 
-def _nonperiodic_binary() -> Iterator[str]:
-    for run in itertools.count(0):
-        yield "1"
-        yield from itertools.repeat("0", run)
-
-
-def _thue_squarefree_ternary() -> Iterator[str]:
-    # Lazy fixed point of 0 -> 012, 1 -> 02, 2 -> 1 starting from 0.
-    images = {"0": "012", "1": "02", "2": "1"}
-    buf = list("012")
-    yield from buf
-    for c in itertools.islice(buf, 1, None):  # buf grows as it is read
-        buf.extend(images[c])
-        yield from images[c]
-
-
-def stream_alphabet_size(spec: StreamSpec) -> int:
-    if isinstance(spec, Periodic):
-        return spec.period.alphabet_size
-    if isinstance(spec, MorphicImage):
-        return spec.morphism.codomain_size
-    if isinstance(spec, Builtin):
-        return 2 if spec.name == "nonperiodic-binary" else 3
-    raise TypeError(f"not a stream spec: {spec!r}")
-
-
-def stream_symbols(spec: StreamSpec) -> Iterator[str]:
-    """Iterate the symbols of the described infinite word, as digits."""
-    if isinstance(spec, Periodic):
-        yield from spec.preamble.text
-        while True:
-            yield from spec.period.text
-    elif isinstance(spec, MorphicImage):
-        if stream_alphabet_size(spec.inner) != spec.morphism.domain_size:
-            raise ValueError("inner stream alphabet does not match morphism domain")
-        images = dict(zip(LETTERS, (img.text for img in spec.morphism.images)))
-        for c in stream_symbols(spec.inner):
-            yield from images[c]
-    elif isinstance(spec, Builtin):
-        if spec.name == "nonperiodic-binary":
-            yield from _nonperiodic_binary()
-        else:
-            yield from _thue_squarefree_ternary()
-    else:
-        raise TypeError(f"not a stream spec: {spec!r}")
+    def _prefix(self, n: int) -> str:
+        return _BUILTINS[self.name][1](n)
 
 
 def stream_prefix(spec: StreamSpec, n: int) -> Word:
     """The first n symbols of the described infinite word."""
     if n < 0:
         raise ValueError("prefix length must be nonnegative")
-    text = "".join(itertools.islice(stream_symbols(spec), n))
-    return Word(text, stream_alphabet_size(spec))
+    if not isinstance(spec, StreamSpec):
+        raise TypeError(f"not a stream spec: {spec!r}")
+    return Word(spec._prefix(n), spec.alphabet_size)
 
 
 def reverse(w: Word) -> Word:

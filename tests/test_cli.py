@@ -283,6 +283,17 @@ class TestExitCodes:
         "enumerate -s 0 -k 2 --length 2",
         "enumerate -s 11 -k 2 --length 2",
         "check --word \u0661\u0662 -k 2 -s 3",  # Arabic-Indic digits
+        # stream arguments that conflict or have nothing to qualify
+        "factors --word 0000 --period 01 -n 2 -s 2",
+        "factors --word 0101 --preamble 1 -n 2 -s 2",
+        "factors -n 2 -s 2",
+        "morphic stream --morphism {ternary} --length 8 "
+        "--inner-builtin nonperiodic-binary --inner-period 1",
+        "morphic stream --morphism {ternary} --length 8 "
+        "--inner-builtin nonperiodic-binary --inner-preamble 0",
+        # a ternary inner word under a binary morphism, even with no symbol drawn
+        "morphic stream --morphism {ternary} --length 0 --inner-builtin thue-squarefree-ternary",
+        "morphic marker --morphism {ternary} --marker ''",
     ])
     def test_bad_input_is_usage_error(self, capsys, tmp_path, argv):
         argv = shlex.split(argv.format(**write_morphisms(tmp_path)))

@@ -180,6 +180,11 @@ class TestMarkerSync:
         with pytest.raises(ValueError):
             marker_sync_check(Morphism.from_strings(["012", "02", "1"], 3), w("0", 3))
 
+    def test_empty_marker_rejected(self):
+        # it would "occur" at every offset of every pair
+        with pytest.raises(ValueError):
+            marker_sync_check(H_TERNARY, w("", 3))
+
     def test_marker_longer_than_image_rejected(self):
         with pytest.raises(ValueError):
             marker_sync_check(H_FIVE, w("0120", 5))

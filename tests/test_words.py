@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 
@@ -10,8 +11,10 @@ from revfree import (
     Builtin,
     FactorSet,
     MorphicImage,
+    Morphism,
     Periodic,
     Word,
+    apply,
     complement,
     cyclic_shifts,
     factors,
@@ -20,8 +23,8 @@ from revfree import (
     reverse,
     stream_prefix,
 )
-from revfree.verification import TERNARY_TO_FIVE
-from revfree.words import first_square
+from revfree.verification import BINARY_TO_TERNARY, TERNARY_TO_FIVE
+from revfree.words import BUILTIN_NAMES, LETTERS, first_square
 
 
 def w(text, s=None):
@@ -246,10 +249,109 @@ class TestFactors:
         # "10" is the reversal of "01", but over another alphabet they are
         # different words, and a reversal test would miss the pair
         with pytest.raises(ValueError):
-            FactorSet.of(2, [w("01", 2), w("10", 3)])
+            FactorSet(2, frozenset({w("01", 2), w("10", 3)}))
+
+
+THUE = Morphism.from_strings(["012", "02", "1"], 3)
+
+
+def periodic_symbol(spec, i):
+    p, y = spec.preamble.text, spec.period.text
+    return p[i] if i < len(p) else y[(i - len(p)) % len(y)]
+
+
+def runs_symbol(i):
+    # the run 1 0^r starts at r(r + 1)/2, so the 1s sit at the triangular numbers
+    return "1" if math.isqrt(8 * i + 1) ** 2 == 8 * i + 1 else "0"
+
+
+def oracle_prefix(spec, n):
+    """The first n symbols of spec, one symbol (or one image) at a time."""
+    if isinstance(spec, Periodic):
+        return "".join(periodic_symbol(spec, i) for i in range(n))
+    if spec == Builtin("nonperiodic-binary"):
+        return "".join(runs_symbol(i) for i in range(n))
+    if isinstance(spec, Builtin):  # Thue's word: pinned by its fixed-point test
+        return str(stream_prefix(spec, n))
+    inner = oracle_prefix(spec.inner, n)
+    out = ""
+    for c in inner:
+        if len(out) >= n:
+            break
+        out += str(spec.morphism.images[int(c)])
+    return out[:n]
+
+
+def symbol_texts(s, min_size, max_size):
+    return st.text(LETTERS[:s], min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def stream_specs(draw, depth=2):
+    kind = draw(st.sampled_from(("periodic", "builtin", "image")[: 3 if depth else 2]))
+    if kind == "periodic":
+        s = draw(st.integers(1, 4))
+        preamble, period = draw(symbol_texts(s, 0, 4)), draw(symbol_texts(s, 1, 6))
+        return Periodic(Word(preamble, s), Word(period, s))
+    if kind == "builtin":
+        return Builtin(draw(st.sampled_from(BUILTIN_NAMES)))
+    inner = draw(stream_specs(depth - 1))
+    s = draw(st.integers(1, 5))
+    images = draw(st.lists(symbol_texts(s, 1, 4), min_size=inner.alphabet_size,
+                           max_size=inner.alphabet_size))
+    return MorphicImage(Morphism.from_strings(images, s), inner)
 
 
 class TestStreams:
+    @settings(max_examples=300, deadline=None)
+    @given(stream_specs(), st.integers(0, 150), st.integers(0, 150))
+    def test_prefix_matches_symbol_oracle(self, spec, n, m):
+        n, m = sorted((n, m))
+        short, long = stream_prefix(spec, n), stream_prefix(spec, m)
+        assert str(short) == oracle_prefix(spec, n)
+        assert str(long) == oracle_prefix(spec, m)
+        assert long[:n] == short
+        assert short.alphabet_size == long.alphabet_size == spec.alphabet_size
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 3000))
+    def test_thue_word_is_its_own_image(self, n):
+        prefix = stream_prefix(Builtin("thue-squarefree-ternary"), n)
+        assert len(prefix) == n
+        assert str(prefix[:6]) == "012021"[:n]
+        assert apply(THUE, prefix)[:n] == prefix
+
+    def test_nonperiodic_binary_runs(self):
+        text = str(stream_prefix(Builtin("nonperiodic-binary"), 5151))  # runs 0..100
+        assert text.split("1")[1:] == ["0" * r for r in range(101)]
+
+    def test_lengths_between_image_blocks(self):
+        # T2's images have length 4, so these cut an image
+        spec = MorphicImage(BINARY_TO_TERNARY, Periodic(w("", 2), w("01", 2)))
+        assert [str(stream_prefix(spec, n)) for n in (0, 1, 5, 7, 9)] == \
+            ["", "0", "00120", "0012011", "001201120"]
+
+    def test_empty_prefix_keeps_the_alphabet(self):
+        spec = MorphicImage(TERNARY_TO_FIVE, Builtin("thue-squarefree-ternary"))
+        assert stream_prefix(spec, 0) == Word("", 5)
+
+    def test_mismatched_inner_alphabet_rejected_when_built(self):
+        # the thue word is ternary, T2's morphism binary: no symbol needs drawing
+        with pytest.raises(ValueError):
+            MorphicImage(BINARY_TO_TERNARY, Builtin("thue-squarefree-ternary"))
+        with pytest.raises(ValueError):
+            MorphicImage(TERNARY_TO_FIVE, Periodic(w("", 2), w("01", 2)))
+
+    def test_non_spec_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            stream_prefix("012", 3)
+        with pytest.raises(TypeError):
+            MorphicImage(TERNARY_TO_FIVE, "012")
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            stream_prefix(Builtin("nonperiodic-binary"), -1)
+
     def test_periodic_prefix(self):
         assert str(stream_prefix(Periodic(w("", 3), w("012", 3)), 7)) == "0120120"
         assert str(stream_prefix(Periodic(w("00", 2), w("01", 2)), 5)) == "00010"
