@@ -136,8 +136,7 @@ def cmd_search(args: argparse.Namespace) -> Result:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> Result:
-    found = enumerate_valid(args.alphabet, AvoidanceQuery(args.k, args.squarefree), args.length)
-    words = [str(w) for w in found]
+    words = enumerate_valid(args.alphabet, AvoidanceQuery(args.k, args.squarefree), args.length)
     payload = {
         "alphabet": args.alphabet,
         "k": args.k,

@@ -4,18 +4,20 @@ Validity is closed under taking subwords, so a search that only extends valid
 prefixes visits exactly the valid words.  A word in the search is its own
 digit string reversed, so that the newest length-k window and the squares
 ending at the newest symbol are prefixes; one regex match finds such a
-square, and one more reversal makes a result `Word`.
+square, and one more reversal gives the result's digit string.
 
-Enumeration runs level by level and tests a new window by one substring
-search of the extended word, which needs no per-word state.  That search
-costs O(n) per extension, cheap at the lengths where listing every word is
-affordable.  Binary k=5, where each level holds about 34 words, is the
-exception: length 4,000 takes about 1 s, four times what a DFS takes (Intel
-Xeon, Python 3.11).  Maximum search and forced extension walk one path to
-caps of tens of thousands of symbols through one DFS kernel, `_Path`, which
-keeps the set of length-k windows on the path, so that a push tests its
-window by a palindrome check and one set lookup.  The walk keeps an explicit
-stack, not recursion, so no interpreter limit bounds its depth.
+Enumeration runs level by level over digit strings and returns them as they
+are, with no `Word` per word listed.  Its extension test is written inline:
+one substring search of the extended word per new window, which needs no
+per-word state and no function call per extension.  That search costs O(n)
+per extension, cheap at the lengths where listing every word is affordable.
+Binary k=5, where each level holds about 34 words, is the exception: length
+4,000 takes about 1 s, four times what a DFS takes (Intel Xeon, Python
+3.11).  Maximum search and forced extension walk one path to caps of tens of
+thousands of symbols through one DFS kernel, `_Path`, which keeps the set of
+length-k windows on the path, so that a push tests its window by a
+palindrome check and one set lookup.  The walk keeps an explicit stack, not
+recursion, so no interpreter limit bounds its depth.
 """
 
 from __future__ import annotations
@@ -114,8 +116,9 @@ def _walk(path: _Path, s: int, depth: int, root_choices: int) -> Iterator[int]:
                     path.pop()
 
 
-def enumerate_valid(s: int, q: AvoidanceQuery, length: int) -> list[Word]:
-    """All valid words of exactly the given length, in lexicographic order.
+def enumerate_valid(s: int, q: AvoidanceQuery, length: int) -> list[str]:
+    """The digit strings of all valid words of exactly the given length, in
+    lexicographic order.
 
     Level by level: the words of one length, as reversed paths, each extended
     by every letter in turn, which keeps a sorted level sorted.  A valid word
@@ -126,17 +129,19 @@ def enumerate_valid(s: int, q: AvoidanceQuery, length: int) -> list[Word]:
     letters = alphabet(s)
     if length < 0:
         raise ValueError("length must be nonnegative")
-    k, squarefree = q.k, q.require_squarefree
-
-    def fits(ext: str) -> bool:
-        if len(ext) >= k and ext[:k][::-1] in ext:
-            return False
-        return not (squarefree and SHORTEST_SQUARE.match(ext))
-
+    k = q.k
     level = [""]
-    for _ in range(length):
-        level = [ext for rev in level for ch in letters if fits(ext := ch + rev)]
-    return [Word(rev[::-1], s) for rev in level]
+    for n in range(1, length + 1):
+        if n < k:
+            level = [c + rev for rev in level for c in letters]
+        else:
+            # `for ext in [...]` is a plain assignment (CPython 3.9+); a walrus
+            # would make ext a closure cell, which is slower
+            level = [ext for rev in level for c in letters for ext in [c + rev]
+                     if ext[k - 1 :: -1] not in ext]
+        if q.require_squarefree:
+            level = [ext for ext in level if not SHORTEST_SQUARE.match(ext)]
+    return [rev[::-1] for rev in level]
 
 
 def max_valid_length(
@@ -215,24 +220,16 @@ def characterization_facts(b: frozenset[Word] | set[Word]) -> CharacterizationRe
     if lengths != {6} or any(y.alphabet_size != 2 for y in b):
         raise ValueError("the rotation family must consist of binary words of length 6")
     q = AvoidanceQuery(5)
-    exceptions: list[Word] = []
+    periods = {y.text for y in b}
+    preambles = [p.text for p in STANDARD_PREAMBLES]
 
     valid9 = enumerate_valid(2, q, 9)
-    fact1 = True
-    for w in valid9:
-        if not any(
-            w.startswith(p) and w[len(p) : len(p) + 6] in b for p in STANDARD_PREAMBLES
-        ):
-            fact1 = False
-            exceptions.append(w)
+    bad9 = [t for t in valid9
+            if not any(t.startswith(p) and t[len(p) : len(p) + 6] in periods for p in preambles)]
+    bad15 = [t for t in enumerate_valid(2, q, 15) if t[:6] in periods and t[6:12] != t[:6]]
 
-    fact2 = True
-    for w in enumerate_valid(2, q, 15):
-        if w[0:6] in b and w[6:12] != w[0:6]:
-            fact2 = False
-            exceptions.append(w)
-
-    return CharacterizationReport(fact1, fact2, len(valid9), tuple(exceptions))
+    exceptions = tuple(Word(t, 2) for t in bad9 + bad15)
+    return CharacterizationReport(not bad9, not bad15, len(valid9), exceptions)
 
 
 def match_ultimately_periodic(

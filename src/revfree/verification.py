@@ -132,7 +132,7 @@ def check_t1() -> TheoremResult:
         fs.members == frozenset(Word.parse(t, 3) for t in ("01", "12", "20"))
         and not has_reversal_conflict(fs)
     )
-    seeds = enumerate_valid(3, AvoidanceQuery(2), 2)
+    seeds = [Word(t, 3) for t in enumerate_valid(3, AvoidanceQuery(2), 2)]
     extensions: dict[str, str] = {}
     forced_ok = len(seeds) == 6
     for seed in seeds:

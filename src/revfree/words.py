@@ -158,8 +158,10 @@ class MorphicImage(StreamSpec):
         return self.morphism.codomain_size
 
     def _prefix(self, n: int) -> str:
-        # images are nonempty, so n inner symbols give at least n symbols
-        return self.inner._prefix(n).translate(self.morphism.table)[:n]
+        # every image has at least `shortest` symbols, so ceil(n / shortest)
+        # inner symbols give at least n symbols
+        shortest = min(len(img) for img in self.morphism.images)
+        return self.inner._prefix(-(-n // shortest)).translate(self.morphism.table)[:n]
 
 
 def _thue_prefix(n: int) -> str:

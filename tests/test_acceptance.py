@@ -83,7 +83,7 @@ def test_criterion_1_ternary_periodic_word():
         assert fs.members == {w("01", 3), w("12", 3), w("20", 3)}
         assert not has_reversal_conflict(fs)
 
-        seeds = enumerate_valid(3, AvoidanceQuery(2), 2)
+        seeds = [Word(t, 3) for t in enumerate_valid(3, AvoidanceQuery(2), 2)]
         assert len(seeds) == 6
         rotations = cyclic_shifts(w("012", 3)) | cyclic_shifts(w("021", 3))
         for seed in seeds:
@@ -213,7 +213,7 @@ def test_criterion_9_property_suite():
                         for t in itertools.product("012"[:s], repeat=length)
                     )
                     naive = [x for x in words if is_valid(x, q)]
-                    assert enumerate_valid(s, q, length) == naive
+                    assert enumerate_valid(s, q, length) == [x.text for x in naive]
 
         # reverse and complement are involutions
         rng = random.Random(53)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from revfree import Word
 from revfree.cli import main
 
 TERNARY_MORPHISM = "0 -> 0012\n1 -> 0112\n"
@@ -140,6 +141,23 @@ class TestEnumerate:
         payload = json.loads(out)
         assert payload["count"] == 32
         assert len(payload["words"]) == 32
+
+    def test_builds_no_word_per_listed_word(self, capsys, monkeypatch):
+        built = 0
+        post_init = Word.__post_init__
+
+        def counting(self):
+            nonlocal built
+            built += 1
+            post_init(self)
+
+        monkeypatch.setattr(Word, "__post_init__", counting)
+        code, out = run(
+            capsys, ["enumerate", "--json", "-s", "2", "-k", "6", "--length", "20"]
+        )
+        assert code == 0
+        assert json.loads(out)["count"] == 4112
+        assert built == 0
 
 
 class TestMorphic:

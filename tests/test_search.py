@@ -39,7 +39,7 @@ def naive_enumerate(s, q, length):
     for t in itertools.product("0123456789"[:s], repeat=length):
         word = Word("".join(t), s)
         if is_valid(word, q):
-            out.append(word)
+            out.append(word.text)
     return out
 
 
@@ -51,13 +51,19 @@ class TestEnumerateValid:
     def test_binary_length_3_is_empty(self):
         assert enumerate_valid(2, AvoidanceQuery(2), 3) == []
 
+    def test_digit_strings_in_sorted_order(self):
+        got = enumerate_valid(2, AvoidanceQuery(6), 20)
+        assert len(got) == 4112
+        assert all(type(t) is str for t in got)
+        assert got == sorted(set(got))
+
     def test_empty_word(self):
-        assert enumerate_valid(4, AvoidanceQuery(3), 0) == [w("", 4)]
+        assert enumerate_valid(4, AvoidanceQuery(3), 0) == [""]
 
     def test_soundness(self):
         q = AvoidanceQuery(5)
-        for word in enumerate_valid(2, q, 9):
-            assert is_valid(word, q)
+        for text in enumerate_valid(2, q, 9):
+            assert is_valid(Word(text, 2), q)
 
     def test_oracle_equivalence_binary(self):
         for k in (2, 3, 5):
@@ -97,11 +103,7 @@ class TestEnumerateValid:
         s, length = s_length
         q = AvoidanceQuery(k, squarefree)
         path = _Path(q)
-        dfs = [
-            Word(path.rev[::-1], s)
-            for d in _walk(path, s, length, s)
-            if d == length
-        ]
+        dfs = [path.rev[::-1] for d in _walk(path, s, length, s) if d == length]
         got = enumerate_valid(s, q, length)
         assert got == dfs
         if s**length <= 5000:
@@ -301,13 +303,14 @@ class TestPeriodicPrefixValidity:
         # finite valid words may carry a few off-pattern symbols at either
         # end, but their interior locks onto the rotation family: after
         # dropping 3 symbols from each side the word repeats with period 6
-        for word in enumerate_valid(2, AvoidanceQuery(5), 30):
+        for text in enumerate_valid(2, AvoidanceQuery(5), 30):
+            word = Word(text, 2)
             assert word[3:9] in B
             for i in range(3, 21):
                 assert word[i] == word[i + 6]
 
     def test_most_valid_length_30_words_match_family(self):
-        words = enumerate_valid(2, AvoidanceQuery(5), 30)
+        words = [Word(t, 2) for t in enumerate_valid(2, AvoidanceQuery(5), 30)]
         matches = [x for x in words if match_ultimately_periodic(x, B) is not None]
         # derived goldens: 30 valid words, 20 of them in the family outright
         assert len(words) == 30

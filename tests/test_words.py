@@ -331,6 +331,26 @@ class TestStreams:
         assert [str(stream_prefix(spec, n)) for n in (0, 1, 5, 7, 9)] == \
             ["", "0", "00120", "0012011", "001201120"]
 
+    def test_inner_builds_only_the_symbols_needed(self):
+        asked = []
+
+        class Recording(Periodic):
+            def _prefix(self, n):
+                asked.append(n)
+                return super()._prefix(n)
+
+        inner = Recording(w("", 2), w("01", 2))
+        shortest_two = Morphism.from_strings(["01", "1101"], 2)
+        for h, n, expected in (
+            (BINARY_TO_TERNARY, 84_703, 21_176),  # images of length 4
+            (BINARY_TO_TERNARY, 8, 2),
+            (shortest_two, 7, 4),  # images of lengths 2 and 4
+            (shortest_two, 0, 0),
+        ):
+            asked.clear()
+            assert len(stream_prefix(MorphicImage(h, inner), n)) == n
+            assert asked == [expected]
+
     def test_empty_prefix_keeps_the_alphabet(self):
         spec = MorphicImage(TERNARY_TO_FIVE, Builtin("thue-squarefree-ternary"))
         assert stream_prefix(spec, 0) == Word("", 5)
