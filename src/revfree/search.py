@@ -1,32 +1,35 @@
 """Exhaustive search over the prefix-closed tree of valid words.
 
 Validity is closed under taking subwords, so a search that only extends valid
-prefixes visits exactly the valid words.  A word in the search is its own
-digit string reversed, so that the newest length-k window and the squares
-ending at the newest symbol are prefixes; one regex match finds such a
-square, and one more reversal gives the result's digit string.
+prefixes visits exactly the valid words.  A valid word stays valid under one
+more symbol iff the reversal of its new length-k window does not occur in it
+and, for squarefree queries, no square ends at the new symbol.  A word in the
+search is its own digit string reversed, so that the newest window and the
+squares ending at the newest symbol are prefixes; one regex match finds such
+a square, and one more reversal gives the result's digit string.
 
-Enumeration runs level by level over digit strings and returns them as they
-are, with no `Word` per word listed.  Its extension test is written inline:
-one substring search of the extended word per new window, which needs no
-per-word state and no function call per extension.  That search costs O(n)
-per extension, cheap at the lengths where listing every word is affordable.
-Binary k=5, where each level holds about 34 words, is the exception: length
-4,000 takes about 1 s, four times what a DFS takes (Intel Xeon, Python
-3.11).  Maximum search and forced extension walk one path to caps of tens of
-thousands of symbols through one DFS kernel, `_Path`, which keeps the set of
-length-k windows on the path, so that a push tests its window by a
-palindrome check and one set lookup.  The walk keeps an explicit stack, not
-recursion, so no interpreter limit bounds its depth.
+Two strategies serve the searches.  `enumerate_valid` and
+`forced_extension_check` step one length at a time through `_next_level`,
+one list comprehension per level that tests each extension's window by one
+substring search of the extended word: no per-word state and no function
+call per extension, which is what listing every word of a wide level needs.
+That search costs O(n) per extension, cheap at the lengths where listing
+every word is affordable and on forced extension's short runs (a level of
+width one).  Binary k=5, where each level holds about 34 words, is the
+exception: length 4,000 takes about 1 s, four times what the DFS takes
+(Intel Xeon, Python 3.11).  `max_valid_length` walks one path to caps of
+tens of thousands of symbols, so its DFS keeps the set of length-k windows on
+the path and tests a push by a palindrome check and one set lookup.  The DFS
+keeps an explicit stack, not recursion, so no interpreter limit bounds its
+depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .avoidance import AvoidanceQuery
-from .words import LETTERS, SHORTEST_SQUARE, Periodic, Word, alphabet, complement, cyclic_shifts
+from .words import SHORTEST_SQUARE, Periodic, Word, alphabet, complement, cyclic_shifts
 
 
 @dataclass(frozen=True)
@@ -57,90 +60,39 @@ def rotation_family(z: Word) -> frozenset[Word]:
     return cyclic_shifts(z) | cyclic_shifts(complement(z))
 
 
-class _Path:
-    """Mutable DFS path: its digits reversed, with the set of length-k
-    windows it holds."""
+def _next_level(level: list[str], letters: str, q: AvoidanceQuery) -> list[str]:
+    """Every valid extension, by each of the letters in turn, of a nonempty
+    level of valid words of one length, held as reversed paths.
 
-    def __init__(self, query: AvoidanceQuery):
-        self.k = query.k
-        self.squarefree = query.require_squarefree
-        self.rev = ""
-        self.windows: set[str] = set()
-        self.added: list[str | None] = []  # per depth: the window its push added
-
-    def try_push(self, c: str) -> bool:
-        """Extend by one letter if the extension stays valid."""
-        rev = c + self.rev
-        window = None
-        if len(rev) >= self.k:
-            reversal = rev[: self.k]
-            window = reversal[::-1]
-            if window == reversal or reversal in self.windows:
-                return False
-            if window in self.windows:
-                window = None
-        if self.squarefree and SHORTEST_SQUARE.match(rev):
-            return False
-        if window is not None:
-            self.windows.add(window)
-        self.added.append(window)
-        self.rev = rev
-        return True
-
-    def pop(self) -> None:
-        window = self.added.pop()
-        if window is not None:
-            self.windows.remove(window)
-        self.rev = self.rev[1:]
-
-
-def _walk(path: _Path, s: int, depth: int, root_choices: int) -> Iterator[int]:
-    """Push every valid word of at most `depth` symbols onto the empty path, in
-    lexicographic order, yielding each one's length (the root's 0 first)."""
-    yield 0
-    nexts = [0] if depth > 0 else []  # per depth: the next symbol to try
-    while nexts:
-        d = len(nexts)
-        c = nexts[-1]
-        if c == (s if d > 1 else root_choices):
-            nexts.pop()
-            if nexts:
-                path.pop()
-        else:
-            nexts[-1] = c + 1
-            if path.try_push(LETTERS[c]):
-                yield d
-                if d < depth:
-                    nexts.append(0)
-                else:
-                    path.pop()
+    A valid word stays valid under one more symbol iff the reversal of its
+    new length-k window does not occur in it (a palindrome matches itself)
+    and, for squarefree queries, no square ends at the new symbol.  Extending
+    a sorted level by letters in order keeps it sorted.
+    """
+    k = q.k
+    if len(level[0]) + 1 < k:
+        level = [c + rev for rev in level for c in letters]
+    else:
+        # `for ext in [...]` is a plain assignment (CPython 3.9+); a walrus
+        # would make ext a closure cell, which is slower
+        level = [ext for rev in level for c in letters for ext in [c + rev]
+                 if ext[k - 1 :: -1] not in ext]
+    if q.require_squarefree:
+        level = [ext for ext in level if not SHORTEST_SQUARE.match(ext)]
+    return level
 
 
 def enumerate_valid(s: int, q: AvoidanceQuery, length: int) -> list[str]:
     """The digit strings of all valid words of exactly the given length, in
-    lexicographic order.
-
-    Level by level: the words of one length, as reversed paths, each extended
-    by every letter in turn, which keeps a sorted level sorted.  A valid word
-    stays valid under one more symbol iff the reversal of its new length-k
-    window does not occur in it (a palindrome matches itself) and, for
-    squarefree queries, no square ends at the new symbol.
-    """
+    lexicographic order, built one length at a time."""
     letters = alphabet(s)
     if length < 0:
         raise ValueError("length must be nonnegative")
-    k = q.k
     level = [""]
-    for n in range(1, length + 1):
-        if n < k:
-            level = [c + rev for rev in level for c in letters]
-        else:
-            # `for ext in [...]` is a plain assignment (CPython 3.9+); a walrus
-            # would make ext a closure cell, which is slower
-            level = [ext for rev in level for c in letters for ext in [c + rev]
-                     if ext[k - 1 :: -1] not in ext]
-        if q.require_squarefree:
-            level = [ext for ext in level if not SHORTEST_SQUARE.match(ext)]
+    for _ in range(length):
+        level = _next_level(level, letters, q)
+        if not level:
+            break
     return [rev[::-1] for rev in level]
 
 
@@ -155,22 +107,54 @@ def max_valid_length(
     validity is invariant under alphabet permutation); witness sets are then
     quotiented and no longer match naive counts, so it is off by default.
     """
-    alphabet(s)
+    letters = alphabet(s)
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    path = _Path(q)
+    k, squarefree = q.k, q.require_squarefree
+    root_choices = 1 if fix_first_symbol else s
+    rev = ""  # the path's digits, reversed
+    windows: set[str] = set()  # the length-k windows on the path
+    added: list[str | None] = []  # per depth: the window its symbol added
+    nexts = [0]  # per depth: the next symbol to try
     best_len = 0
-    witnesses: list[str] = []  # reversed paths, made into words at the end
-    nodes = 0
-    for d in _walk(path, s, cap, 1 if fix_first_symbol else s):
+    witnesses = [""]  # reversed paths, made into words at the end
+    nodes = 1
+    while nexts:
+        d = len(nexts)
+        c = nexts[-1]
+        if c == (s if d > 1 else root_choices):
+            nexts.pop()
+            if d > 1:
+                window = added.pop()
+                if window is not None:
+                    windows.remove(window)
+                rev = rev[1:]
+            continue
+        nexts[-1] = c + 1
+        ext = letters[c] + rev
+        window = None
+        if d >= k:
+            reversal = ext[:k]
+            window = reversal[::-1]
+            if window == reversal or reversal in windows:
+                continue
+            if window in windows:
+                window = None
+        if squarefree and SHORTEST_SQUARE.match(ext):
+            continue
         nodes += 1
+        if d == cap:
+            return ExceedsCap(cap, Word(ext[::-1], s), nodes)
         if d > best_len:
             best_len = d
-            witnesses = [path.rev]
+            witnesses = [ext]
         elif d == best_len:
-            witnesses.append(path.rev)
-        if d == cap:
-            return ExceedsCap(cap, Word(path.rev[::-1], s), nodes)
+            witnesses.append(ext)
+        if window is not None:
+            windows.add(window)
+        added.append(window)
+        rev = ext
+        nexts.append(0)
     return Finite(best_len, tuple(Word(rev[::-1], s) for rev in witnesses), nodes)
 
 
@@ -180,21 +164,19 @@ def forced_extension_check(
     """Extend the seed one symbol at a time while exactly one symbol keeps the
     word valid; None as soon as a branch point or dead end occurs."""
     letters = alphabet(s)
-    path = _Path(AvoidanceQuery(k))
+    q = AvoidanceQuery(k)
     if seed.alphabet_size != s:
         raise ValueError("seed alphabet does not match the search alphabet")
-    if not all(path.try_push(c) for c in seed.text):
-        raise ValueError("seed is not valid")
+    level = [""]
+    for c in seed.text:
+        level = _next_level(level, c, q)
+        if not level:
+            raise ValueError("seed is not valid")
     for _ in range(steps):
-        children = []
-        for c in letters:
-            if path.try_push(c):
-                path.pop()
-                children.append(c)
-        if len(children) != 1:
+        level = _next_level(level, letters, q)
+        if len(level) != 1:
             return None
-        path.try_push(children[0])
-    return Word(path.rev[::-1], s)
+    return Word(level[0][::-1], s)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import __version__
 from .avoidance import AvoidanceQuery, has_reversal_conflict, is_valid, verify_unavoidable
 from .morphisms import (
     Morphism,
@@ -95,7 +94,6 @@ class TheoremResult:
 
 @dataclass(frozen=True)
 class PaperReport:
-    version: str
     results: tuple[TheoremResult, ...]
 
     @property
@@ -104,7 +102,6 @@ class PaperReport:
 
     def to_dict(self) -> dict:
         return {
-            "version": self.version,
             "all_passed": self.all_passed,
             "results": [
                 {
@@ -361,4 +358,4 @@ ALL_CHECKS = (
 
 
 def run_verification() -> PaperReport:
-    return PaperReport(__version__, tuple(check() for check in ALL_CHECKS))
+    return PaperReport(tuple(check() for check in ALL_CHECKS))

@@ -44,17 +44,11 @@ class Word:
             )
 
     @classmethod
-    def parse(cls, text: str, alphabet_size: int | None = None) -> Word:
-        """Parse a string of the digits 0-9 like "0012".
-
-        When no alphabet size is given it is inferred as (largest digit + 1);
-        the empty string parses to the empty word over a unary alphabet.
-        """
+    def parse(cls, text: str, alphabet_size: int) -> Word:
+        """Parse a string of the digits 0-9 like "0012"."""
         text = text.strip()
         if text and not (text.isascii() and text.isdigit()):
             raise ValueError(f"not a digit string: {text!r}")
-        if alphabet_size is None:
-            alphabet_size = int(max(text, default="0")) + 1
         return cls(text, alphabet_size)
 
     @property

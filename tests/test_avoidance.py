@@ -23,7 +23,7 @@ from revfree import (
 from revfree.words import FactorSet
 
 
-def w(text, s=None):
+def w(text, s):
     return Word.parse(text, s)
 
 

@@ -28,7 +28,7 @@ H_BINARY = Morphism.from_strings(["0001011", "0010111"], 2)
 H_FIVE = Morphism.from_strings(["012", "013", "014"], 5)
 
 
-def w(text, s=None):
+def w(text, s):
     return Word.parse(text, s)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +25,9 @@ from revfree import (
     rotation_family,
     stream_prefix,
 )
-from revfree.search import _Path, _walk
 
 
-def w(text, s=None):
+def w(text, s):
     return Word.parse(text, s)
 
 
@@ -96,18 +96,34 @@ class TestEnumerateValid:
         ),
         st.integers(1, 4),
         st.booleans(),
+        st.booleans(),
     )
-    def test_levels_agree_with_dfs_kernel(self, s_length, k, squarefree):
-        # the level-by-level pass and the DFS kernel check each other, and
-        # both the product filter while it stays small
+    def test_levels_agree_with_dfs_kernel(self, s_length, k, squarefree, fix_first):
+        # the level-by-level pass and the DFS check each other, and both the
+        # product filter while it stays small: the DFS visits the valid words
+        # in preorder, so its answer and its node count follow from the levels
         s, length = s_length
         q = AvoidanceQuery(k, squarefree)
-        path = _Path(q)
-        dfs = [path.rev[::-1] for d in _walk(path, s, length, s) if d == length]
-        got = enumerate_valid(s, q, length)
-        assert got == dfs
+        levels = [enumerate_valid(s, q, n) for n in range(length + 1)]
         if s**length <= 5000:
-            assert got == naive_enumerate(s, q, length)
+            assert levels[length] == naive_enumerate(s, q, length)
+        if length == 0:
+            return
+        if fix_first:
+            levels = [[t for t in level if t[:1] in ("", "0")] for level in levels]
+        outcome = max_valid_length(s, q, length, fix_first)
+        if isinstance(outcome, Finite):
+            deepest = max(n for n, level in enumerate(levels) if level)
+            assert deepest < length
+            assert outcome.max_length == deepest
+            assert [x.text for x in outcome.witnesses] == levels[deepest]
+            assert outcome.nodes_explored == sum(map(len, levels))
+        else:
+            x = outcome.sample_survivor.text
+            assert x == levels[length][0]
+            assert outcome.nodes_explored == sum(
+                bisect_right(level, x[:n]) for n, level in enumerate(levels)
+            )
 
 
 class TestMaxValidLength:
@@ -192,36 +208,6 @@ def test_alphabet_size_checked_before_search(s):
         forced_extension_check(s, 2, w("0", 2), 5)
 
 
-class TestKernel:
-    @settings(max_examples=500, deadline=None)
-    @given(
-        st.integers(1, 10).flatmap(
-            lambda s: st.lists(st.integers(0, s - 1), max_size=30).map(
-                lambda t: Word("".join(map(str, t)), s)
-            )
-        ),
-        st.integers(1, 4),
-        st.booleans(),
-    )
-    def test_pushes_agree_with_is_valid(self, word, k, squarefree):
-        q = AvoidanceQuery(k, squarefree)
-        path = _Path(q)
-        pushed = 0
-        for c in str(word):
-            before = (path.rev, set(path.windows), list(path.added))
-            for other in "0123456789"[: word.alphabet_size]:
-                if path.try_push(other):
-                    path.pop()
-                assert (path.rev, path.windows, path.added) == before
-            ok = path.try_push(c)
-            assert ok == is_valid(word[: pushed + 1], q)
-            if not ok:
-                break
-            pushed += 1
-        assert (pushed == len(word)) == is_valid(word, q)
-        assert path.rev == "".join(str(c) for c in reversed(word.symbols[:pushed]))
-
-
 class TestForcedExtension:
     def test_ternary_determinism(self):
         got = forced_extension_check(3, 2, w("01", 3), 10)
@@ -239,6 +225,31 @@ class TestForcedExtension:
     def test_invalid_seed_rejected(self):
         with pytest.raises(ValueError):
             forced_extension_check(2, 2, w("00", 2), 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda s: st.tuples(st.just(s), st.text("0123"[:s], max_size=8))
+        ),
+        st.integers(1, 4),
+        st.integers(0, 12),
+    )
+    def test_agrees_with_is_valid_oracle(self, s_seed, k, steps):
+        # seeds shorter than k - 1 included: their first steps keep every letter
+        s, text = s_seed
+        seed, q = Word(text, s), AvoidanceQuery(k)
+        if not is_valid(seed, q):
+            with pytest.raises(ValueError):
+                forced_extension_check(s, k, seed, steps)
+            return
+        expected = seed
+        for _ in range(steps):
+            children = [x for c in "0123"[:s] if is_valid(x := Word(expected.text + c, s), q)]
+            if len(children) != 1:
+                expected = None
+                break
+            expected = children[0]
+        assert forced_extension_check(s, k, seed, steps) == expected
 
 
 class TestCharacterization:

@@ -27,7 +27,7 @@ from revfree.verification import BINARY_TO_TERNARY, TERNARY_TO_FIVE
 from revfree.words import BUILTIN_NAMES, LETTERS, first_square
 
 
-def w(text, s=None):
+def w(text, s):
     return Word.parse(text, s)
 
 
@@ -133,7 +133,7 @@ class TestWord:
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
-            Word.parse("01a")
+            Word.parse("01a", 2)
 
     def test_parse_rejects_non_ascii_digits(self):
         # Arabic-Indic one and two: str.isdigit and int accept them
