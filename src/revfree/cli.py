@@ -174,9 +174,7 @@ def cmd_morphic_factor_set(args: argparse.Namespace) -> Result:
 def cmd_morphic_marker(args: argparse.Namespace) -> Result:
     h = _load_morphism(args.morphism)
     report = marker_sync_check(h, Word.parse(args.marker, h.codomain_size))
-    occurrences = [
-        {"pair": f"{a}{b}", "offset": offset} for (a, b), offset in report.occurrences
-    ]
+    occurrences = [{"pair": pair, "offset": offset} for pair, offset in report.occurrences]
     payload = {
         "marker": str(report.marker),
         "synchronized": report.synchronized,

@@ -49,12 +49,6 @@ class Morphism:
         return len({len(img) for img in self.images}) == 1
 
     @property
-    def image_length(self) -> int:
-        if not self.is_uniform:
-            raise ValueError("non-uniform morphism has no single image length")
-        return len(self.images[0])
-
-    @property
     def table(self) -> dict[int, str]:
         """The `str.translate` table taking each letter to its image."""
         return {ord(c): img.text for c, img in zip(LETTERS, self.images)}
@@ -139,17 +133,18 @@ def image_factor_set(h: Morphism, k: int, preimage_universe: FactorSet) -> Facto
 
 @dataclass(frozen=True)
 class MarkerReport:
-    """Every occurrence of a marker inside images of letter pairs, and whether
-    all of them are block-aligned starts of the marked image."""
+    """Every occurrence of a marker inside images of letter pairs, as the pair
+    "ab" and the offset in h(a)h(b), and whether the marker synchronizes."""
 
     marker: Word
-    occurrences: tuple[tuple[tuple[Word, Word], int], ...]
+    occurrences: tuple[tuple[str, int], ...]
     synchronized: bool
 
 
 def marker_sync_check(h: Morphism, marker: Word) -> MarkerReport:
-    """Check that the marker occurs in h(a)h(b) only block-aligned, and only
-    where the block is the image whose prefix is the marker.
+    """Check that exactly one image starts with the marker and that it occurs
+    in every h(a)h(b) only block-aligned.  An aligned occurrence starts the
+    image of its block, so then every occurrence starts that one image.
 
     This is the decoding lemma behind the nonperiodicity arguments: a
     synchronized marker pins down image boundaries inside any image word.
@@ -158,32 +153,21 @@ def marker_sync_check(h: Morphism, marker: Word) -> MarkerReport:
         raise ValueError("marker synchronization is only supported for uniform morphisms")
     if marker.alphabet_size != h.codomain_size:
         raise ValueError("the marker is not over the morphism's codomain alphabet")
-    block = h.image_length
-    if not 1 <= len(marker) <= block:
-        raise ValueError(f"marker length {len(marker)} is not in 1..{block}, the image length")
-    # the marked block: the one image that starts with the marker, if unique
-    starting = {img for img in h.images if img.startswith(marker)}
-    marked = starting.pop() if len(starting) == 1 else None
-    occurrences: list[tuple[tuple[Word, Word], int]] = []
-    synchronized = marked is not None
-    letters = [Word(c, h.domain_size) for c in LETTERS[: h.domain_size]]
-    for a, image_a in zip(letters, h.images):
-        for b, image_b in zip(letters, h.images):
-            pair = image_a.text + image_b.text
-            for i in range(len(pair) - len(marker) + 1):
-                if pair[i : i + len(marker)] != marker.text:
-                    continue
-                occurrences.append(((a, b), i))
-                if i == 0:
-                    aligned_image = image_a
-                elif i == block:
-                    aligned_image = image_b
-                else:
-                    synchronized = False
-                    continue
-                if aligned_image != marked:
-                    synchronized = False
-    return MarkerReport(marker, tuple(occurrences), synchronized)
+    block = len(h.images[0])
+    m = marker.text
+    if not 1 <= len(m) <= block:
+        raise ValueError(f"marker length {len(m)} is not in 1..{block}, the image length")
+    occurrences = tuple(
+        (a + b, i)
+        for a, image_a in zip(LETTERS, h.images)
+        for b, image_b in zip(LETTERS, h.images)
+        for pair in [image_a.text + image_b.text]
+        for i in range(len(pair) - len(m) + 1)
+        if pair.startswith(m, i)
+    )
+    starting = {img.text for img in h.images if img.text.startswith(m)}
+    synchronized = len(starting) == 1 and all(i in (0, block) for _, i in occurrences)
+    return MarkerReport(marker, occurrences, synchronized)
 
 
 @dataclass(frozen=True)
@@ -216,7 +200,7 @@ def periodicity_transport_check(h: Morphism, y: Word) -> Word | None:
         raise ValueError("blockwise decoding requires a uniform morphism")
     if y.alphabet_size != h.codomain_size:
         raise ValueError("the word is not over the morphism's codomain alphabet")
-    block = h.image_length
+    block = len(h.images[0])
     if len(y) % block != 0:
         return None
     # reversed, so that the first letter wins when two images are equal

@@ -47,21 +47,16 @@ BINARY_TO_TERNARY = Morphism.from_strings(["0012", "0112"], 3)
 BINARY_SELF = Morphism.from_strings(["0001011", "0010111"], 2)
 TERNARY_TO_FIVE = Morphism.from_strings(["012", "013", "014"], 5)
 
-# Claimed factor sets of the three morphic constructions.
-TERNARY_K3_FACTORS = frozenset(
-    Word.parse(t, 3) for t in ("001", "011", "012", "112", "120", "200", "201")
-)
-BINARY_K6_FACTORS = frozenset(
-    Word.parse(t, 2)
-    for t in (
-        "000101", "001011", "010110", "010111", "011000", "011001", "011100",
-        "100010", "100101", "101100", "101110", "110001", "110010", "111000",
-        "111001",
-    )
-)
-FIVE_K2_FACTORS = frozenset(
-    Word.parse(t, 5) for t in ("01", "12", "13", "14", "20", "30", "40")
-)
+# Claimed factor sets, as the sorted digit strings the report lists.
+PERIODIC_K2_FACTORS = ["01", "12", "20"]
+TERNARY_K3_FACTORS = ["001", "011", "012", "112", "120", "200", "201"]
+PERIODIC_K5_FACTORS = ["00101", "01011", "01100", "10010", "10110", "11001"]
+BINARY_K6_FACTORS = [
+    "000101", "001011", "010110", "010111", "011000", "011001", "011100",
+    "100010", "100101", "101100", "101110", "110001", "110010", "111000",
+    "111001",
+]
+FIVE_K2_FACTORS = ["01", "12", "13", "14", "20", "30", "40"]
 
 # Claimed unavoidable sets for binary words, per avoidance length k.
 UNAVOIDABLE_SETS = {
@@ -125,10 +120,8 @@ def check_t1() -> TheoremResult:
     extends deterministically into a rotation of an alphabet-permuted copy)."""
     spec = Periodic(Word.parse("", 3), Word.parse("012", 3))
     fs = periodic_factors(spec, 2)
-    factor_ok = (
-        fs.members == frozenset(Word.parse(t, 3) for t in ("01", "12", "20"))
-        and not has_reversal_conflict(fs)
-    )
+    factors = _words(fs.members)
+    factor_ok = factors == PERIODIC_K2_FACTORS and not has_reversal_conflict(fs)
     seeds = [Word(t, 3) for t in enumerate_valid(3, AvoidanceQuery(2), 2)]
     extensions: dict[str, str] = {}
     forced_ok = len(seeds) == 6
@@ -137,17 +130,16 @@ def check_t1() -> TheoremResult:
         if ext is None:
             forced_ok = False
             continue
-        extensions[str(seed)] = str(ext)
-        period3 = all(ext[i] == ext[i + 3] for i in range(len(ext) - 3))
-        distinct = {ext[0], ext[1], ext[2]} == {0, 1, 2}
-        if not (period3 and distinct):
+        extensions[str(seed)] = t = ext.text
+        # period 3, and the first period holds all three letters
+        if t[3:] != t[:-3] or set(t[:3]) != set("012"):
             forced_ok = False
     return TheoremResult(
         "T1",
         "(012)^omega has conflict-free pair set {01,12,20}; deterministic "
         "forced extension from every valid 2-letter ternary seed",
         factor_ok and forced_ok,
-        {"factors": _words(fs.members), "extensions": extensions},
+        {"factors": factors, "extensions": extensions},
     )
 
 
@@ -156,8 +148,9 @@ def check_t2() -> TheoremResult:
     length-3 factor set, and 00 synchronizes image blocks."""
     fs = image_factor_set(BINARY_TO_TERNARY, 3, all_words_universe(2, 2))
     marker = marker_sync_check(BINARY_TO_TERNARY, Word.parse("00", 3))
+    factors = _words(fs.members)
     passed = (
-        fs.members == TERNARY_K3_FACTORS
+        factors == TERNARY_K3_FACTORS
         and not has_reversal_conflict(fs)
         and marker.synchronized
     )
@@ -167,7 +160,7 @@ def check_t2() -> TheoremResult:
         "factor set and a synchronized marker 00",
         passed,
         {
-            "factors": _words(fs.members),
+            "factors": factors,
             "marker_occurrences": len(marker.occurrences),
             "synchronized": marker.synchronized,
         },
@@ -206,21 +199,18 @@ def check_t4() -> TheoremResult:
     """(001011)^omega avoids reversed subwords of length >= 5."""
     spec = Periodic(Word.parse("", 2), Word.parse("001011", 2))
     fs = periodic_factors(spec, 5)
-    expected = frozenset(
-        Word.parse(t, 2)
-        for t in ("00101", "01011", "01100", "10010", "10110", "11001")
-    )
+    factors = _words(fs.members)
     q = AvoidanceQuery(5)
     prefixes_ok = all(
         is_valid(stream_prefix(spec, n), q) for n in range(121)
     )
-    passed = fs.members == expected and not has_reversal_conflict(fs) and prefixes_ok
+    passed = factors == PERIODIC_K5_FACTORS and not has_reversal_conflict(fs) and prefixes_ok
     return TheoremResult(
         "T4",
         "(001011)^omega has the 6-word conflict-free length-5 factor set; "
         "all prefixes up to length 120 are valid",
         passed,
-        {"factors": _words(fs.members), "prefixes_checked": 121},
+        {"factors": factors, "prefixes_checked": 121},
     )
 
 
@@ -267,13 +257,14 @@ def check_t6() -> TheoremResult:
     inverts encoding."""
     fs = image_factor_set(BINARY_SELF, 6, all_words_universe(2, 2))
     marker = marker_sync_check(BINARY_SELF, Word.parse("000", 2))
+    factors = _words(fs.members)
     decode_ok = periodicity_transport_check(BINARY_SELF, Word.parse("", 2)) == Word.parse("", 2)
     for length in range(1, 9):
         for u in all_words_universe(2, length).members:
             if periodicity_transport_check(BINARY_SELF, apply(BINARY_SELF, u)) != u:
                 decode_ok = False
     passed = (
-        fs.members == BINARY_K6_FACTORS
+        factors == BINARY_K6_FACTORS
         and not has_reversal_conflict(fs)
         and marker.synchronized
         and decode_ok
@@ -285,7 +276,7 @@ def check_t6() -> TheoremResult:
         "inverts encode for |u| <= 8",
         passed,
         {
-            "factors": _words(fs.members),
+            "factors": factors,
             "factor_count": len(fs),
             "synchronized": marker.synchronized,
             "decode_ok": decode_ok,
@@ -296,21 +287,17 @@ def check_t6() -> TheoremResult:
 def check_t7() -> TheoremResult:
     """Squarefree words over a 4-letter alphabet avoiding reversed subwords of
     length >= 2 have length at most 20."""
+    claim = "squarefree 4-letter words valid at k=2 max out at 20"
     q = AvoidanceQuery(2, require_squarefree=True)
     outcome = max_valid_length(4, q, cap=64)
     if not isinstance(outcome, Finite):
-        return TheoremResult(
-            "T7", "squarefree 4-letter words valid at k=2 max out at 20",
-            False, {"outcome": "exceeds-cap"},
-        )
+        return TheoremResult("T7", claim, False, {"outcome": "exceeds-cap"})
     recheck = all(
         is_valid(w, q) and is_squarefree(w) for w in outcome.witnesses[:4]
     )
     passed = outcome.max_length == 20 and recheck
     return TheoremResult(
-        "T7",
-        "squarefree 4-letter words valid at k=2 max out at 20",
-        passed,
+        "T7", claim, passed,
         {
             "max_length": outcome.max_length,
             "witness_count": len(outcome.witnesses),
@@ -330,10 +317,11 @@ def check_t8() -> TheoremResult:
         MorphicImage(TERNARY_TO_FIVE, Builtin("thue-squarefree-ternary")), 3000
     )
     prefix_ok = is_squarefree(prefix) and is_valid(prefix, AvoidanceQuery(2))
+    factors = _words(fs.members)
     passed = (
         sqf.passed
         and len(sqf.preimages) == 12
-        and fs.members == FIVE_K2_FACTORS
+        and factors == FIVE_K2_FACTORS
         and not has_reversal_conflict(fs)
         and prefix_ok
     )
@@ -345,7 +333,7 @@ def check_t8() -> TheoremResult:
         passed,
         {
             "squarefree_preimages": len(sqf.preimages),
-            "factors": _words(fs.members),
+            "factors": factors,
             "prefix_ok": prefix_ok,
         },
     )

@@ -77,9 +77,6 @@ class Word:
             raise ValueError("cannot concatenate words over different alphabets")
         return Word(self.text + other.text, self.alphabet_size)
 
-    def startswith(self, prefix: Word) -> bool:
-        return self.text.startswith(prefix.text)
-
 
 @dataclass(frozen=True)
 class FactorSet:
@@ -96,9 +93,6 @@ class FactorSet:
                 raise ValueError(f"member {m} does not have length {self.length}")
         if len({m.alphabet_size for m in self.members}) > 1:
             raise ValueError("members must share one alphabet")
-
-    def __contains__(self, w: Word) -> bool:
-        return w in self.members
 
     def __iter__(self) -> Iterator[Word]:
         return iter(sorted(self.members))

@@ -277,6 +277,22 @@ class TestVerifyPaper:
         assert all(r["status"] == "pass" for r in payload["results"])
         assert payload["version"]
 
+    def test_failed_claim(self, capsys, monkeypatch):
+        # a claimed pair set that misses one pair no longer matches T8's image
+        monkeypatch.setattr(
+            "revfree.verification.FIVE_K2_FACTORS", ["01", "12", "13", "14", "20", "30"]
+        )
+        code, out = run(capsys, ["verify-paper"])
+        assert code == 1
+        assert out.splitlines()[7].startswith("T8 fail")
+        code, out = run(capsys, ["verify-paper", "--json"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["all_passed"] is False
+        assert {r["id"]: r["status"] for r in payload["results"]} == {
+            **{f"T{i}": "pass" for i in range(1, 8)}, "T8": "fail"
+        }
+
 
 class TestUsage:
     def test_missing_subcommand(self):

@@ -2,9 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revfree import (
     Builtin,
+    MarkerReport,
     MorphicImage,
     Morphism,
     Word,
@@ -41,13 +44,10 @@ class TestMorphism:
         assert H_TERNARY.domain_size == 2
         assert H_TERNARY.codomain_size == 3
         assert H_TERNARY.is_uniform
-        assert H_TERNARY.image_length == 4
 
     def test_non_uniform(self):
         h = Morphism.from_strings(["012", "02", "1"], 3)
         assert not h.is_uniform
-        with pytest.raises(ValueError):
-            h.image_length
 
     def test_empty_image_rejected(self):
         with pytest.raises(ValueError):
@@ -143,15 +143,39 @@ class TestImageFactorSet:
                 image_factor_set(h, k, all_words_universe(2, 2)).members
 
 
+def per_offset_marker_check(h, marker):
+    """The marker report by one test per occurrence: it must sit at offset 0
+    or at the block length of h(a)h(b), where its block must be the one image
+    that starts with the marker."""
+    block = len(h.images[0])
+    starting = {img for img in h.images if img.text.startswith(marker.text)}
+    marked = starting.pop() if len(starting) == 1 else None
+    occurrences = []
+    synchronized = marked is not None
+    for (a, image_a), (b, image_b) in itertools.product(enumerate(h.images), repeat=2):
+        pair = image_a.text + image_b.text
+        for i in range(len(pair) - len(marker) + 1):
+            if pair[i : i + len(marker)] != marker.text:
+                continue
+            occurrences.append((f"{a}{b}", i))
+            if i == 0:
+                aligned_image = image_a
+            elif i == block:
+                aligned_image = image_b
+            else:
+                synchronized = False
+                continue
+            if aligned_image != marked:
+                synchronized = False
+    return MarkerReport(marker, tuple(occurrences), synchronized)
+
+
 class TestMarkerSync:
     def test_double_zero_synchronized(self):
         report = marker_sync_check(H_TERNARY, w("00", 3))
         assert report.synchronized
         # 00 occurs only block-aligned: h(00) at 0 and 4, h(01) at 0, h(10) at 4
-        offsets = sorted(
-            (str(a) + str(b), off) for (a, b), off in report.occurrences
-        )
-        assert offsets == [("00", 0), ("00", 4), ("01", 0), ("10", 4)]
+        assert sorted(report.occurrences) == [("00", 0), ("00", 4), ("01", 0), ("10", 4)]
 
     def test_triple_zero_synchronized(self):
         assert marker_sync_check(H_BINARY, w("000", 2)).synchronized
@@ -188,6 +212,26 @@ class TestMarkerSync:
     def test_marker_longer_than_image_rejected(self):
         with pytest.raises(ValueError):
             marker_sync_check(H_FIVE, w("0120", 5))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agrees_with_per_offset_oracle(self, data):
+        # uniform morphisms of 1..4 letters into 1..4 letters, images of
+        # length 1..5; half the markers are image prefixes, so that
+        # synchronized cases occur
+        s = data.draw(st.integers(1, 4))
+        cod = data.draw(st.integers(1, 4))
+        block = data.draw(st.integers(1, 5))
+        letters = "0123456789"[:cod]
+        images = data.draw(st.lists(st.text(letters, min_size=block, max_size=block),
+                                    min_size=s, max_size=s))
+        h = Morphism(tuple(Word(t, cod) for t in images))
+        length = data.draw(st.integers(1, block))
+        if data.draw(st.booleans()):
+            marker = Word(data.draw(st.sampled_from(images))[:length], cod)
+        else:
+            marker = Word(data.draw(st.text(letters, min_size=length, max_size=length)), cod)
+        assert marker_sync_check(h, marker) == per_offset_marker_check(h, marker)
 
     def test_marker_over_another_alphabet_rejected(self):
         # a binary 00 is not a word of the ternary images it is looked for in
