@@ -25,6 +25,7 @@ from revfree import (
     rotation_family,
     stream_prefix,
 )
+from revfree import search
 
 
 def w(text, s):
@@ -59,6 +60,14 @@ class TestEnumerateValid:
 
     def test_empty_word(self):
         assert enumerate_valid(4, AvoidanceQuery(3), 0) == [""]
+
+    @pytest.mark.parametrize("s", [1, 2, 10])
+    def test_k1_allows_only_the_empty_word(self, s):
+        # every letter is a palindromic window of length 1
+        q = AvoidanceQuery(1)
+        assert enumerate_valid(s, q, 0) == [""]
+        for length in (1, 2, 50):
+            assert enumerate_valid(s, q, length) == []
 
     def test_soundness(self):
         q = AvoidanceQuery(5)
@@ -124,6 +133,46 @@ class TestEnumerateValid:
             assert outcome.nodes_explored == sum(
                 bisect_right(level, x[:n]) for n, level in enumerate(levels)
             )
+
+    def test_levels_hold_only_canonical_words(self, monkeypatch):
+        # the level pass extends one word per alphabet-permutation orbit:
+        # the one whose letters first occur in the order 0, 1, 2, ...
+        handed = []
+
+        def recording(level, letters, q):
+            handed.extend(level)
+            return next_level(level, letters, q)
+
+        next_level = search._next_level
+        monkeypatch.setattr(search, "_next_level", recording)
+        words = enumerate_valid(5, AvoidanceQuery(2, True), 8)
+        assert len(words) == 8640
+        assert handed
+        for rev in handed:
+            first_seen = "".join(dict.fromkeys(rev[::-1]))
+            assert first_seen == "01234"[: len(first_seen)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda s: st.tuples(
+                st.just(s), st.integers(0, max(n for n in range(9) if s**n <= 20_000))
+            )
+        ),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    def test_closed_under_alphabet_permutation(self, s_length, k, squarefree):
+        s, length = s_length
+        q = AvoidanceQuery(k, squarefree)
+        words = enumerate_valid(s, q, length)
+        assert words == sorted(set(words))
+        letters = "01234"[:s]
+        for image in itertools.permutations(letters):
+            table = str.maketrans(letters, "".join(image))
+            assert sorted(t.translate(table) for t in words) == words
+        if s**length <= 5000:
+            assert words == naive_enumerate(s, q, length)
 
 
 class TestMaxValidLength:
