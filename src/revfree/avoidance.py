@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .words import FactorSet, Word, alphabet, factors, first_square, reverse
+from .words import Word, alphabet, factors, first_square
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,10 @@ class SquareWitness:
     position: int
 
 
-def has_reversal_conflict(a: FactorSet) -> bool:
-    """True iff some member of the set has its reversal also in the set.
-
-    Palindromic members conflict with themselves.
-    """
-    return any(reverse(x) in a.members for x in a.members)
+def has_reversal_conflict(windows: frozenset[str] | set[str]) -> bool:
+    """True iff some digit string in the window set has its reversal also in
+    the set.  Palindromes conflict with themselves."""
+    return any(x[::-1] in windows for x in windows)
 
 
 def find_conflict(w: Word, q: AvoidanceQuery) -> ConflictWitness | SquareWitness | None:
@@ -54,7 +52,7 @@ def find_conflict(w: Word, q: AvoidanceQuery) -> ConflictWitness | SquareWitness
     leftmost and then shortest square (when the query demands
     squarefreeness), or None when w is valid."""
     text = w.text
-    windows = {text[i : i + q.k] for i in range(len(text) - q.k + 1)}
+    windows = factors(w, q.k)
     conflicts = [x for x in windows if x[::-1] in windows]
     if conflicts:
         x = min(conflicts)
@@ -71,19 +69,6 @@ def is_valid(w: Word, q: AvoidanceQuery) -> bool:
     """True iff w avoids reversed subwords of length >= q.k (vacuously when
     |w| < k) and, if required, squares."""
     return find_conflict(w, q) is None
-
-
-def reduction_equivalence(w: Word, k: int) -> bool:
-    """Check that the length-exactly-k test agrees with quantifying over all
-    subword lengths >= k.  The contract says this always holds; it is exposed
-    as a brute-force oracle."""
-    if len(w) < k:
-        raise ValueError("word shorter than k")
-    at_k = has_reversal_conflict(factors(w, k))
-    at_any = any(
-        has_reversal_conflict(factors(w, n)) for n in range(k, len(w) + 1)
-    )
-    return at_k == at_any
 
 
 def find_avoiding_word(s: int, length: int, patterns: set[Word] | frozenset[Word]) -> Word | None:

@@ -36,7 +36,6 @@ from .search import (
 from .words import (
     BUILTIN_NAMES,
     Builtin,
-    FactorSet,
     MorphicImage,
     Periodic,
     Word,
@@ -63,9 +62,9 @@ def _load_morphism(path: str) -> Morphism:
     return parse_morphism(text)
 
 
-def _factor_set(fs: FactorSet) -> Result:
-    members = [str(w) for w in fs]
-    return {"length": fs.length, "members": members}, members, 0
+def _factor_set(length: int, windows: frozenset[str]) -> Result:
+    members = sorted(windows)
+    return {"length": length, "members": members}, members, 0
 
 
 def cmd_check(args: argparse.Namespace) -> Result:
@@ -105,10 +104,10 @@ def cmd_factors(args: argparse.Namespace) -> Result:
     if args.word is not None:
         if args.preamble is not None:
             raise UsageError("--preamble needs --period")
-        return _factor_set(factors(Word.parse(args.word, args.alphabet), args.length))
+        return _factor_set(args.length, factors(Word.parse(args.word, args.alphabet), args.length))
     period = Word.parse(args.period, args.alphabet)
     preamble = Word.parse(args.preamble or "", args.alphabet)
-    return _factor_set(periodic_factors(Periodic(preamble, period), args.length))
+    return _factor_set(args.length, periodic_factors(Periodic(preamble, period), args.length))
 
 
 def cmd_search(args: argparse.Namespace) -> Result:
@@ -168,7 +167,8 @@ def cmd_morphic_stream(args: argparse.Namespace) -> Result:
 def cmd_morphic_factor_set(args: argparse.Namespace) -> Result:
     h = _load_morphism(args.morphism)
     universe = squarefree_words_universe if args.squarefree_universe else all_words_universe
-    return _factor_set(image_factor_set(h, args.k, universe(h.domain_size, args.universe_length)))
+    preimages = universe(h.domain_size, args.universe_length)
+    return _factor_set(args.k, image_factor_set(h, args.k, preimages))
 
 
 def cmd_morphic_marker(args: argparse.Namespace) -> Result:

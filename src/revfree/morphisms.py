@@ -95,9 +95,18 @@ def apply(h: Morphism, w: Word) -> Word:
     return Word(w.text.translate(h.table), h.codomain_size)
 
 
+# The most words, and the longest word, a universe may hold: a larger one is
+# refused before any word is built.
+MAX_UNIVERSE = 2**20
+
+
 def all_words_universe(s: int, m: int) -> FactorSet:
-    """All s^m words of length m over {0..s-1}."""
-    texts = ("".join(t) for t in itertools.product(alphabet(s), repeat=m))
+    """All s^m words of length m over {0..s-1}; at most MAX_UNIVERSE of them."""
+    letters = alphabet(s)
+    # s ** m exceeds the bound once m reaches its bit length, unless s == 1
+    if m > MAX_UNIVERSE or s ** min(m, MAX_UNIVERSE.bit_length()) > MAX_UNIVERSE:
+        raise ValueError(f"a universe of {s}^{m} words exceeds the limit of {MAX_UNIVERSE}")
+    texts = ("".join(t) for t in itertools.product(letters, repeat=m))
     return FactorSet(m, frozenset(Word(t, s) for t in texts))
 
 
@@ -106,8 +115,9 @@ def squarefree_words_universe(s: int, m: int) -> FactorSet:
     return FactorSet(m, frozenset(filter(is_squarefree, all_words_universe(s, m).members)))
 
 
-def image_factor_set(h: Morphism, k: int, preimage_universe: FactorSet) -> FactorSet:
-    """All length-k windows of h(u) for u ranging over the universe.
+def image_factor_set(h: Morphism, k: int, preimage_universe: FactorSet) -> frozenset[str]:
+    """The digit strings of all length-k windows of h(u) for u ranging over
+    the universe.
 
     When the universe contains every length-m factor of a word w, this is a
     superset of the length-k factor set of h(w), and exactly the factor set
@@ -115,6 +125,8 @@ def image_factor_set(h: Morphism, k: int, preimage_universe: FactorSet) -> Facto
     be long enough that images of its members cover a window:
     (m-1) * min_image_length + 1 >= k.
     """
+    if k < 1:
+        raise ValueError("factor length must be at least 1")
     if any(u.alphabet_size != h.domain_size for u in preimage_universe.members):
         raise ValueError("the universe is not over the morphism's domain alphabet")
     m = preimage_universe.length
@@ -124,11 +136,9 @@ def image_factor_set(h: Morphism, k: int, preimage_universe: FactorSet) -> Facto
             f"universe of length {m} cannot cover windows of length {k} "
             f"(minimum image length {min_len})"
         )
-    windows: set[str] = set()
-    for u in preimage_universe.members:
-        image = apply(h, u).text
-        windows.update(image[i : i + k] for i in range(len(image) - k + 1))
-    return FactorSet(k, frozenset(Word(x, h.codomain_size) for x in windows))
+    table = h.table
+    images = [u.text.translate(table) for u in preimage_universe.members]
+    return frozenset({x[i : i + k] for x in images for i in range(len(x) - k + 1)})
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,7 @@ class CharacterizationReport:
     fact1_holds: bool
     fact2_holds: bool
     valid_count_len9: int
-    exceptions: tuple[Word, ...]
+    exceptions: tuple[str, ...]  # digit strings of the words breaking a fact
 
 
 def characterization_facts(b: frozenset[Word] | set[Word]) -> CharacterizationReport:
@@ -245,8 +245,7 @@ def characterization_facts(b: frozenset[Word] | set[Word]) -> CharacterizationRe
             if not any(t.startswith(p) and t[len(p) : len(p) + 6] in periods for p in preambles)]
     bad15 = [t for t in enumerate_valid(2, q, 15) if t[:6] in periods and t[6:12] != t[:6]]
 
-    exceptions = tuple(Word(t, 2) for t in bad9 + bad15)
-    return CharacterizationReport(not bad9, not bad15, len(valid9), exceptions)
+    return CharacterizationReport(not bad9, not bad15, len(valid9), tuple(bad9 + bad15))
 
 
 def match_ultimately_periodic(

@@ -110,17 +110,13 @@ class PaperReport:
         }
 
 
-def _words(ws) -> list[str]:
-    return [str(w) for w in sorted(ws)]
-
-
 def check_t1() -> TheoremResult:
     """(012)^omega avoids reversed subwords of length >= 2 and is the unique
     such ternary word up to alphabet permutation (every valid two-letter seed
     extends deterministically into a rotation of an alphabet-permuted copy)."""
     spec = Periodic(Word.parse("", 3), Word.parse("012", 3))
     fs = periodic_factors(spec, 2)
-    factors = _words(fs.members)
+    factors = sorted(fs)
     factor_ok = factors == PERIODIC_K2_FACTORS and not has_reversal_conflict(fs)
     seeds = [Word(t, 3) for t in enumerate_valid(3, AvoidanceQuery(2), 2)]
     extensions: dict[str, str] = {}
@@ -148,7 +144,7 @@ def check_t2() -> TheoremResult:
     length-3 factor set, and 00 synchronizes image blocks."""
     fs = image_factor_set(BINARY_TO_TERNARY, 3, all_words_universe(2, 2))
     marker = marker_sync_check(BINARY_TO_TERNARY, Word.parse("00", 3))
-    factors = _words(fs.members)
+    factors = sorted(fs)
     passed = (
         factors == TERNARY_K3_FACTORS
         and not has_reversal_conflict(fs)
@@ -199,7 +195,7 @@ def check_t4() -> TheoremResult:
     """(001011)^omega avoids reversed subwords of length >= 5."""
     spec = Periodic(Word.parse("", 2), Word.parse("001011", 2))
     fs = periodic_factors(spec, 5)
-    factors = _words(fs.members)
+    factors = sorted(fs)
     q = AvoidanceQuery(5)
     prefixes_ok = all(
         is_valid(stream_prefix(spec, n), q) for n in range(121)
@@ -246,7 +242,7 @@ def check_t5() -> TheoremResult:
             "fact1": report.fact1_holds,
             "fact2": report.fact2_holds,
             "valid_count_len9": report.valid_count_len9,
-            "exceptions": _words(report.exceptions),
+            "exceptions": sorted(report.exceptions),
         },
     )
 
@@ -257,7 +253,7 @@ def check_t6() -> TheoremResult:
     inverts encoding."""
     fs = image_factor_set(BINARY_SELF, 6, all_words_universe(2, 2))
     marker = marker_sync_check(BINARY_SELF, Word.parse("000", 2))
-    factors = _words(fs.members)
+    factors = sorted(fs)
     decode_ok = periodicity_transport_check(BINARY_SELF, Word.parse("", 2)) == Word.parse("", 2)
     for length in range(1, 9):
         for u in all_words_universe(2, length).members:
@@ -317,7 +313,7 @@ def check_t8() -> TheoremResult:
         MorphicImage(TERNARY_TO_FIVE, Builtin("thue-squarefree-ternary")), 3000
     )
     prefix_ok = is_squarefree(prefix) and is_valid(prefix, AvoidanceQuery(2))
-    factors = _words(fs.members)
+    factors = sorted(fs)
     passed = (
         sqf.passed
         and len(sqf.preimages) == 12

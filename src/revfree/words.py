@@ -1,4 +1,5 @@
-"""Core word values: finite words, factor sets, and descriptions of infinite words."""
+"""Core word values: finite words, window sets (frozensets of digit strings,
+built by `factors`), and descriptions of infinite words."""
 
 from __future__ import annotations
 
@@ -80,7 +81,9 @@ class Word:
 
 @dataclass(frozen=True)
 class FactorSet:
-    """A set of distinct words sharing one common length."""
+    """A preimage universe for `morphisms.image_factor_set`: distinct words
+    sharing one common length, held as `Word`s because the benchmark's tracer
+    reads their `symbols`.  Window sets are frozensets of digit strings."""
 
     length: int
     members: frozenset[Word]
@@ -93,12 +96,6 @@ class FactorSet:
                 raise ValueError(f"member {m} does not have length {self.length}")
         if len({m.alphabet_size for m in self.members}) > 1:
             raise ValueError("members must share one alphabet")
-
-    def __iter__(self) -> Iterator[Word]:
-        return iter(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 class StreamSpec:
@@ -224,16 +221,19 @@ def cyclic_shifts(w: Word) -> frozenset[Word]:
     return frozenset(Word(t[i:] + t[:i], w.alphabet_size) for i in range(len(t)))
 
 
-def factors(w: Word, n: int) -> FactorSet:
-    """All distinct length-n contiguous subwords of w."""
+def factors(w: Word, n: int) -> frozenset[str]:
+    """The digit strings of all distinct length-n contiguous subwords of w."""
+    return _windows(w.text, n)
+
+
+def _windows(text: str, n: int) -> frozenset[str]:
     if n < 1:
         raise ValueError("factor length must be at least 1")
-    t = w.text
-    windows = {t[i : i + n] for i in range(len(t) - n + 1)}
-    return FactorSet(n, frozenset(Word(x, w.alphabet_size) for x in windows))
+    # a set comprehension: frozenset() of a generator is slower on long words
+    return frozenset({text[i : i + n] for i in range(len(text) - n + 1)})
 
 
-def periodic_factors(spec: Periodic, n: int) -> FactorSet:
+def periodic_factors(spec: Periodic, n: int) -> frozenset[str]:
     """The exact length-n factor set of the infinite word preamble.period^omega.
 
     A window starting at or past the preamble depends only on its phase
@@ -242,10 +242,7 @@ def periodic_factors(spec: Periodic, n: int) -> FactorSet:
     """
     if not isinstance(spec, Periodic):
         raise TypeError("periodic_factors requires a Periodic stream spec")
-    if n < 1:
-        raise ValueError("factor length must be at least 1")
-    cover = len(spec.preamble) + len(spec.period) + n - 1
-    return factors(stream_prefix(spec, cover), n)
+    return _windows(spec._prefix(len(spec.preamble) + len(spec.period) + n - 1), n)
 
 
 # Squares xx with |x| <= 31, found by the regex engine in O(31 n) steps.

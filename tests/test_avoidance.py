@@ -16,11 +16,9 @@ from revfree import (
     find_conflict,
     has_reversal_conflict,
     is_valid,
-    reduction_equivalence,
     reverse,
     verify_unavoidable,
 )
-from revfree.words import FactorSet
 
 
 def w(text, s):
@@ -32,9 +30,16 @@ def of_symbols(symbols, s):
     return Word("".join(map(str, symbols)), s)
 
 
-def fs(texts, s):
-    words = frozenset(Word.parse(t, s) for t in texts)
-    return FactorSet(len(next(iter(words))), words)
+def reduction_equivalence(word, k):
+    """Brute-force oracle: the length-exactly-k test agrees with quantifying
+    over all subword lengths >= k."""
+    if len(word) < k:
+        raise ValueError("word shorter than k")
+    at_k = has_reversal_conflict(factors(word, k))
+    at_any = any(
+        has_reversal_conflict(factors(word, n)) for n in range(k, len(word) + 1)
+    )
+    return at_k == at_any
 
 
 def naive_valid(word, k, require_squarefree=False):
@@ -55,13 +60,13 @@ def naive_valid(word, k, require_squarefree=False):
 
 class TestReversalConflict:
     def test_conflict_free_sets(self):
-        assert not has_reversal_conflict(fs(["01", "12", "20"], 3))
+        assert not has_reversal_conflict({"01", "12", "20"})
         assert not has_reversal_conflict(
-            fs(["00101", "01011", "01100", "10010", "10110", "11001"], 2)
+            frozenset({"00101", "01011", "01100", "10010", "10110", "11001"})
         )
 
     def test_palindrome_conflicts(self):
-        assert has_reversal_conflict(fs(["00"], 2))
+        assert has_reversal_conflict({"00"})
 
     def test_any_palindrome_forces_conflict(self):
         rng = random.Random(23)
@@ -74,7 +79,7 @@ class TestReversalConflict:
             others = {
                 of_symbols([rng.randrange(2) for _ in range(k)], 2) for _ in range(3)
             }
-            assert has_reversal_conflict(FactorSet(k, frozenset({word}) | others))
+            assert has_reversal_conflict(frozenset({word.text}) | {x.text for x in others})
 
 
 class TestIsValid:

@@ -314,6 +314,10 @@ class TestExitCodes:
         "factors --word 01 -n 0 -s 2",
         "check --word 01 -k 2 -s 0",
         "morphic factor-set --morphism {ternary} -k 3 --universe-length 0",
+        "morphic factor-set --morphism {ternary} -k 0",
+        "morphic factor-set --morphism {ternary} -k -1",
+        # 2^30 preimages: refused before any is built
+        "morphic factor-set --morphism {ternary} -k 3 --universe-length 30",
         "enumerate -s 0 -k 2 --length 2",
         "enumerate -s 11 -k 2 --length 2",
         "check --word \u0661\u0662 -k 2 -s 3",  # Arabic-Indic digits

@@ -6,25 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revfree import (
+    AvoidanceQuery,
     Builtin,
     MarkerReport,
     MorphicImage,
     Morphism,
+    Periodic,
     Word,
     all_words_universe,
     apply,
     factors,
+    find_conflict,
     format_morphism,
     has_reversal_conflict,
     image_factor_set,
     is_squarefree,
     marker_sync_check,
     parse_morphism,
+    periodic_factors,
     periodicity_transport_check,
     squarefree_morphism_test,
     squarefree_words_universe,
     stream_prefix,
 )
+from revfree.morphisms import MAX_UNIVERSE
 
 H_TERNARY = Morphism.from_strings(["0012", "0112"], 3)
 H_BINARY = Morphism.from_strings(["0001011", "0010111"], 2)
@@ -97,27 +102,27 @@ class TestApply:
 class TestImageFactorSet:
     def test_seven_word_ternary_set(self):
         fs = image_factor_set(H_TERNARY, 3, all_words_universe(2, 2))
-        assert fs.members == {
-            w(t, 3) for t in ("001", "011", "012", "112", "120", "200", "201")
-        }
+        assert fs == {"001", "011", "012", "112", "120", "200", "201"}
         assert not has_reversal_conflict(fs)
 
     def test_fifteen_word_binary_set(self):
         fs = image_factor_set(H_BINARY, 6, all_words_universe(2, 2))
-        assert fs.members == {
-            w(t, 2)
-            for t in ("000101", "001011", "010110", "010111", "011000",
-                      "011001", "011100", "100010", "100101", "101100",
-                      "101110", "110001", "110010", "111000", "111001")
+        assert fs == {
+            "000101", "001011", "010110", "010111", "011000", "011001", "011100",
+            "100010", "100101", "101100", "101110", "110001", "110010", "111000",
+            "111001",
         }
         assert not has_reversal_conflict(fs)
 
     def test_five_letter_pair_set(self):
         fs = image_factor_set(H_FIVE, 2, squarefree_words_universe(3, 2))
-        assert fs.members == {
-            w(t, 5) for t in ("01", "12", "13", "14", "20", "30", "40")
-        }
+        assert fs == {"01", "12", "13", "14", "20", "30", "40"}
         assert not has_reversal_conflict(fs)
+
+    def test_zero_length_rejected(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                image_factor_set(H_FIVE, k, squarefree_words_universe(3, 2))
 
     def test_universe_too_short(self):
         with pytest.raises(ValueError):
@@ -135,12 +140,53 @@ class TestImageFactorSet:
         # the nonperiodic builtin realizes every binary pair, so the
         # over-approximated image set equals the factor set of its image
         inner = Builtin("nonperiodic-binary")
-        assert factors(stream_prefix(Builtin("nonperiodic-binary"), 30), 2).members \
-            == all_words_universe(2, 2).members
+        assert factors(stream_prefix(Builtin("nonperiodic-binary"), 30), 2) \
+            == {u.text for u in all_words_universe(2, 2).members}
         for h, k in ((H_TERNARY, 3), (H_BINARY, 6)):
             prefix = stream_prefix(MorphicImage(h, inner), 400)
-            assert factors(prefix, k).members == \
-                image_factor_set(h, k, all_words_universe(2, 2)).members
+            assert factors(prefix, k) == image_factor_set(h, k, all_words_universe(2, 2))
+
+
+class TestUniverses:
+    def test_sizes(self):
+        assert len(all_words_universe(2, 8).members) == 256
+        assert len(squarefree_words_universe(3, 3).members) == 12
+
+    # each of these raises before a word is built: never try a size that passes
+    @pytest.mark.parametrize("s, m", [
+        (2, 21), (2, 30), (2, 10**9), (3, 13), (10, 7), (1, MAX_UNIVERSE + 1),
+    ])
+    def test_oversized_universe_refused(self, s, m):
+        assert s**min(m, 64) > MAX_UNIVERSE or m > MAX_UNIVERSE
+        with pytest.raises(ValueError, match="limit"):
+            all_words_universe(s, m)
+        with pytest.raises(ValueError, match="limit"):
+            squarefree_words_universe(s, m)
+
+
+def test_window_sets_build_no_word(monkeypatch):
+    # the universes, the prefix and the periodic spec are built first
+    binary = all_words_universe(2, 2)
+    squarefree = squarefree_words_universe(3, 2)
+    prefix = stream_prefix(MorphicImage(H_FIVE, Builtin("thue-squarefree-ternary")), 3000)
+    spec = Periodic(Word("", 5), prefix)
+    built = 0
+    post_init = Word.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counting)
+    windows = factors(prefix, 2)
+    assert windows == {"01", "12", "13", "14", "20", "30", "40"}
+    assert windows <= periodic_factors(spec, 2)
+    for fs in (windows, image_factor_set(H_BINARY, 6, binary),
+               image_factor_set(H_FIVE, 2, squarefree)):
+        assert not has_reversal_conflict(fs)
+    assert find_conflict(prefix, AvoidanceQuery(2, require_squarefree=True)) is None
+    assert built == 0
 
 
 def per_offset_marker_check(h, marker):
