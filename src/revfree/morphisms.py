@@ -6,43 +6,41 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .avoidance import AvoidanceQuery
+from .search import _next_level
 from .words import LETTERS, FactorSet, Word, alphabet, is_squarefree
 
 
 @dataclass(frozen=True)
 class Morphism:
-    """A morphism given by the images of the letters 0..domain_size-1.
+    """A morphism given by the digit strings of the images of the letters
+    0..domain_size-1: nonempty words over one codomain alphabet."""
 
-    All images must be nonempty and share one codomain alphabet.
-    """
-
-    images: tuple[Word, ...]
+    images: tuple[str, ...]
+    codomain_size: int
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.images) <= 10:
             raise ValueError("a morphism needs one image per letter, for 1..10 letters")
-        cod = self.images[0].alphabet_size
+        letters = alphabet(self.codomain_size)
         for img in self.images:
-            if len(img) == 0:
-                raise ValueError("morphism images must be nonempty")
-            if img.alphabet_size != cod:
-                raise ValueError("all images must share one codomain alphabet")
+            if not isinstance(img, str):
+                raise TypeError(f"a morphism image must be a digit string, not {img!r}")
+            if not img or img.strip(letters):
+                raise ValueError(f"morphism image {img!r} is not a nonempty word over {letters}")
 
     @classmethod
     def from_strings(cls, image_texts: list[str] | tuple[str, ...],
                      codomain_size: int | None = None) -> Morphism:
-        """Build from digit strings, image_texts[i] being the image of i."""
+        """Build from digit strings, image_texts[i] being the image of i; the
+        codomain size defaults to one more than the largest digit used."""
         if codomain_size is None:
-            codomain_size = int(max("".join(image_texts), default="0")) + 1
-        return cls(tuple(Word.parse(t, codomain_size) for t in image_texts))
+            codomain_size = 1 + max([0, *map(LETTERS.find, "".join(image_texts))])
+        return cls(tuple(image_texts), codomain_size)
 
     @property
     def domain_size(self) -> int:
         return len(self.images)
-
-    @property
-    def codomain_size(self) -> int:
-        return self.images[0].alphabet_size
 
     @property
     def is_uniform(self) -> bool:
@@ -51,7 +49,7 @@ class Morphism:
     @property
     def table(self) -> dict[int, str]:
         """The `str.translate` table taking each letter to its image."""
-        return {ord(c): img.text for c, img in zip(LETTERS, self.images)}
+        return {ord(c): img for c, img in zip(LETTERS, self.images)}
 
 
 def parse_morphism(text: str) -> Morphism:
@@ -100,19 +98,34 @@ def apply(h: Morphism, w: Word) -> Word:
 MAX_UNIVERSE = 2**20
 
 
-def all_words_universe(s: int, m: int) -> FactorSet:
-    """All s^m words of length m over {0..s-1}; at most MAX_UNIVERSE of them."""
+def _universe_letters(s: int, m: int) -> str:
+    """The letters of a universe of words of length m over {0..s-1}; refused
+    when s^m exceeds MAX_UNIVERSE."""
     letters = alphabet(s)
     # s ** m exceeds the bound once m reaches its bit length, unless s == 1
     if m > MAX_UNIVERSE or s ** min(m, MAX_UNIVERSE.bit_length()) > MAX_UNIVERSE:
         raise ValueError(f"a universe of {s}^{m} words exceeds the limit of {MAX_UNIVERSE}")
-    texts = ("".join(t) for t in itertools.product(letters, repeat=m))
+    return letters
+
+
+def all_words_universe(s: int, m: int) -> FactorSet:
+    """All s^m words of length m over {0..s-1}; at most MAX_UNIVERSE of them."""
+    texts = ("".join(t) for t in itertools.product(_universe_letters(s, m), repeat=m))
     return FactorSet(m, frozenset(Word(t, s) for t in texts))
 
 
 def squarefree_words_universe(s: int, m: int) -> FactorSet:
-    """All squarefree words of length m over {0..s-1}."""
-    return FactorSet(m, frozenset(filter(is_squarefree, all_words_universe(s, m).members)))
+    """All squarefree words of length m over {0..s-1}, grown one letter at a
+    time so that only squarefree words are built; refused, like
+    `all_words_universe`, when s^m exceeds MAX_UNIVERSE."""
+    letters = _universe_letters(s, m)
+    q = AvoidanceQuery(m + 1, require_squarefree=True)  # k > m: only the square test applies
+    level = [""]  # reversed words, as `_next_level` keeps them
+    for _ in range(m):
+        level = _next_level(level, letters, q)
+        if not level:  # no binary word of length 4 is squarefree
+            break
+    return FactorSet(m, frozenset(Word(rev[::-1], s) for rev in level))
 
 
 def image_factor_set(h: Morphism, k: int, preimage_universe: FactorSet) -> frozenset[str]:
@@ -127,6 +140,8 @@ def image_factor_set(h: Morphism, k: int, preimage_universe: FactorSet) -> froze
     """
     if k < 1:
         raise ValueError("factor length must be at least 1")
+    if not preimage_universe.members:
+        raise ValueError("the preimage universe is empty, so its image certifies nothing")
     if any(u.alphabet_size != h.domain_size for u in preimage_universe.members):
         raise ValueError("the universe is not over the morphism's domain alphabet")
     m = preimage_universe.length
@@ -171,11 +186,11 @@ def marker_sync_check(h: Morphism, marker: Word) -> MarkerReport:
         (a + b, i)
         for a, image_a in zip(LETTERS, h.images)
         for b, image_b in zip(LETTERS, h.images)
-        for pair in [image_a.text + image_b.text]
+        for pair in [image_a + image_b]
         for i in range(len(pair) - len(m) + 1)
         if pair.startswith(m, i)
     )
-    starting = {img.text for img in h.images if img.text.startswith(m)}
+    starting = {img for img in h.images if img.startswith(m)}
     synchronized = len(starting) == 1 and all(i in (0, block) for _, i in occurrences)
     return MarkerReport(marker, occurrences, synchronized)
 
@@ -214,7 +229,7 @@ def periodicity_transport_check(h: Morphism, y: Word) -> Word | None:
     if len(y) % block != 0:
         return None
     # reversed, so that the first letter wins when two images are equal
-    letter_of = {img.text: c for c, img in reversed(list(zip(LETTERS, h.images)))}
+    letter_of = {img: c for c, img in reversed(list(zip(LETTERS, h.images)))}
     pieces = [letter_of.get(y.text[i : i + block]) for i in range(0, len(y), block)]
     if None in pieces:
         return None

@@ -31,6 +31,7 @@ depth.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .avoidance import AvoidanceQuery
@@ -95,6 +96,11 @@ def _next_level(level: list[str], letters: str, q: AvoidanceQuery) -> list[str]:
     return level
 
 
+# The most words enumerate_valid lists at any length: about 0.9 GiB of them,
+# at the 143 MiB that 677,902 binary words of length 40 take.
+MAX_LISTING = 2**22
+
+
 def enumerate_valid(s: int, q: AvoidanceQuery, length: int) -> list[str]:
     """The digit strings of all valid words of exactly the given length, in
     lexicographic order.
@@ -104,13 +110,14 @@ def enumerate_valid(s: int, q: AvoidanceQuery, length: int) -> list[str]:
     canonical form, whose letters first occur in the order 0, 1, 2 and so
     on.  So the levels hold only canonical words, grouped by the number j of
     letters they use, and the rest are listed at the end by applying each
-    one-to-one map of those j letters into the alphabet.
+    one-to-one map of those j letters into the alphabet.  Once the valid
+    words of some length number more than MAX_LISTING, it raises ValueError.
     """
     letters = alphabet(s)
     if length < 0:
         raise ValueError("length must be nonnegative")
     groups = {0: [""]}  # j -> the canonical words using letters[:j], reversed
-    for _ in range(length):
+    for n in range(1, length + 1):
         nxt: dict[int, list[str]] = {}
         for j, level in groups.items():
             if j:
@@ -118,6 +125,10 @@ def enumerate_valid(s: int, q: AvoidanceQuery, length: int) -> list[str]:
             if j < s:
                 nxt.setdefault(j + 1, []).extend(_next_level(level, letters[j], q))
         groups = {j: level for j, level in nxt.items() if level}
+        listed = sum(len(level) * math.perm(s, j) for j, level in groups.items())
+        if listed > MAX_LISTING:
+            raise ValueError(f"the {listed} valid words of length {n} exceed "
+                             f"the listing limit of {MAX_LISTING}")
         if not groups:
             break
     words: list[str] = []

@@ -14,6 +14,7 @@ from revfree.cli import main
 TERNARY_MORPHISM = "0 -> 0012\n1 -> 0112\n"
 FIVE_MORPHISM = "0 -> 012\n1 -> 013\n2 -> 014\n"
 SQUARING_MORPHISM = "0 -> 01\n1 -> 01\n2 -> 2\n"
+STRAY_MORPHISM = "0 -> 0a\n1 -> 1\n"  # a symbol that is not a digit
 
 
 @pytest.fixture
@@ -318,6 +319,11 @@ class TestExitCodes:
         "morphic factor-set --morphism {ternary} -k -1",
         # 2^30 preimages: refused before any is built
         "morphic factor-set --morphism {ternary} -k 3 --universe-length 30",
+        # no binary squarefree word has length 5: an empty universe certifies nothing
+        "morphic factor-set --morphism {ternary} -k 3 --universe-length 5 --squarefree-universe",
+        "morphic apply --morphism {stray} --word 01",
+        # 10^7 words of length 7: refused before any length-8 word is built
+        "enumerate -s 10 -k 9 --length 8",
         "enumerate -s 0 -k 2 --length 2",
         "enumerate -s 11 -k 2 --length 2",
         "check --word \u0661\u0662 -k 2 -s 3",  # Arabic-Indic digits
@@ -393,7 +399,7 @@ WALL_TIME = re.compile(r'("wall_time_ms": )[0-9.e+-]+')
 def write_morphisms(directory: Path) -> dict[str, str]:
     paths = {}
     for name, text in (("ternary", TERNARY_MORPHISM), ("five", FIVE_MORPHISM),
-                       ("squaring", SQUARING_MORPHISM)):
+                       ("squaring", SQUARING_MORPHISM), ("stray", STRAY_MORPHISM)):
         paths[name] = str(directory / f"{name}.morphism")
         Path(paths[name]).write_text(text, encoding="utf-8")
     return paths

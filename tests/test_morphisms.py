@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from revfree import (
     AvoidanceQuery,
     Builtin,
+    FactorSet,
     MarkerReport,
     MorphicImage,
     Morphism,
@@ -62,6 +63,27 @@ class TestMorphism:
         # domain letters are digits too, so an eleventh letter has no symbol
         with pytest.raises(ValueError):
             Morphism.from_strings(["0"] * 11, 1)
+
+    def test_image_outside_codomain_rejected(self):
+        with pytest.raises(ValueError, match="'0a'"):
+            Morphism.from_strings(["0a", "1"])
+        with pytest.raises(ValueError, match="'3'"):
+            Morphism(("012", "3"), 3)
+        with pytest.raises(ValueError):  # an Arabic-Indic one
+            Morphism.from_strings(["0", "\u0661"], 2)
+
+    def test_non_string_image_rejected(self):
+        with pytest.raises(TypeError, match="digit string"):
+            Morphism((w("01", 2), "10"), 2)
+        for codomain in (2, None):
+            with pytest.raises(TypeError):
+                Morphism.from_strings([w("01", 2), "10"], codomain)
+
+    def test_images_are_the_given_strings(self):
+        h = Morphism.from_strings(["0012", "0112"])
+        assert h == Morphism(("0012", "0112"), 3) == H_TERNARY
+        assert h.table == {ord("0"): "0012", ord("1"): "0112"}
+        assert Morphism.from_strings(["0", "00"]).codomain_size == 1
 
     def test_parse_round_trip(self):
         text = format_morphism(H_BINARY)
@@ -164,6 +186,21 @@ class TestUniverses:
             squarefree_words_universe(s, m)
 
 
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_squarefree_universe_is_the_filtered_product(s):
+    for m in range(1, 8):
+        expected = frozenset(filter(is_squarefree, all_words_universe(s, m).members))
+        assert squarefree_words_universe(s, m) == FactorSet(m, expected)
+
+
+def test_empty_universe_refused():
+    # no binary squarefree word has length 4 or more
+    empty = squarefree_words_universe(2, 5)
+    assert empty.members == frozenset()
+    with pytest.raises(ValueError, match="empty"):
+        image_factor_set(H_TERNARY, 3, empty)
+
+
 def test_window_sets_build_no_word(monkeypatch):
     # the universes, the prefix and the periodic spec are built first
     binary = all_words_universe(2, 2)
@@ -189,17 +226,34 @@ def test_window_sets_build_no_word(monkeypatch):
     assert built == 0
 
 
+def test_morphisms_build_no_word(monkeypatch):
+    built = 0
+    post_init = Word.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counting)
+    t8 = parse_morphism("0 -> 012\n1 -> 013\n2 -> 014\n")
+    assert t8.images == ("012", "013", "014")
+    for texts in (["0012", "0112"], ["0001011", "0010111"], ["012", "013", "014"]):
+        assert Morphism.from_strings(texts).images == tuple(texts)
+    assert built == 0
+
+
 def per_offset_marker_check(h, marker):
     """The marker report by one test per occurrence: it must sit at offset 0
     or at the block length of h(a)h(b), where its block must be the one image
     that starts with the marker."""
     block = len(h.images[0])
-    starting = {img for img in h.images if img.text.startswith(marker.text)}
+    starting = {img for img in h.images if img.startswith(marker.text)}
     marked = starting.pop() if len(starting) == 1 else None
     occurrences = []
     synchronized = marked is not None
     for (a, image_a), (b, image_b) in itertools.product(enumerate(h.images), repeat=2):
-        pair = image_a.text + image_b.text
+        pair = image_a + image_b
         for i in range(len(pair) - len(marker) + 1):
             if pair[i : i + len(marker)] != marker.text:
                 continue
@@ -229,7 +283,7 @@ class TestMarkerSync:
     def test_letter_order_does_not_matter(self):
         # the marked block is the image the marker starts, not images[0]
         for h, marker in ((H_TERNARY, w("00", 3)), (H_BINARY, w("000", 2))):
-            swapped = Morphism(h.images[::-1])
+            swapped = Morphism.from_strings(h.images[::-1], h.codomain_size)
             assert marker_sync_check(swapped, marker).synchronized
             assert marker_sync_check(h, marker).synchronized
 
@@ -271,7 +325,7 @@ class TestMarkerSync:
         letters = "0123456789"[:cod]
         images = data.draw(st.lists(st.text(letters, min_size=block, max_size=block),
                                     min_size=s, max_size=s))
-        h = Morphism(tuple(Word(t, cod) for t in images))
+        h = Morphism.from_strings(images, cod)
         length = data.draw(st.integers(1, block))
         if data.draw(st.booleans()):
             marker = Word(data.draw(st.sampled_from(images))[:length], cod)

@@ -52,6 +52,14 @@ class TestEnumerateValid:
     def test_binary_length_3_is_empty(self):
         assert enumerate_valid(2, AvoidanceQuery(2), 3) == []
 
+    @pytest.mark.parametrize("length", [7, 8])
+    def test_oversized_listing_refused(self, length):
+        # every one of the 10^7 words of length 7 is valid at k = 9, held as
+        # its 877 canonical forms: refused there, before any longer word
+        assert 10**6 < search.MAX_LISTING < 10**7
+        with pytest.raises(ValueError, match="10000000 valid words of length 7"):
+            enumerate_valid(10, AvoidanceQuery(9), length)
+
     def test_digit_strings_in_sorted_order(self):
         got = enumerate_valid(2, AvoidanceQuery(6), 20)
         assert len(got) == 4112

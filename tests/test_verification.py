@@ -1,4 +1,4 @@
-from revfree import Morphism, Word, all_words_universe, has_reversal_conflict, image_factor_set
+from revfree import Morphism, all_words_universe, has_reversal_conflict, image_factor_set
 from revfree.verification import (
     BINARY_K6_FACTORS,
     BINARY_SELF,
@@ -23,7 +23,7 @@ def test_report_serializes():
 
 def test_corrupted_morphism_breaks_factor_set():
     # flipping one symbol of an image must be caught by the factor-set check
-    corrupted = Morphism((BINARY_SELF.images[0], Word.parse("0010110", 2)))
+    corrupted = Morphism.from_strings([BINARY_SELF.images[0], "0010110"], 2)
     fs = image_factor_set(corrupted, 6, all_words_universe(2, 2))
     assert sorted(fs) != BINARY_K6_FACTORS
     assert has_reversal_conflict(fs)
