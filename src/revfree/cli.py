@@ -10,6 +10,7 @@ the library rejects as out of range.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -221,6 +222,9 @@ def cmd_verify_paper(args: argparse.Namespace) -> Result:
     return report.to_dict(), lines, 0 if report.all_passed else 1
 
 
+# Built once per process: parsing leaves the parser unchanged, and each
+# `cmd_*` reads the library functions from this module's globals when called.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="revfree",

@@ -296,6 +296,31 @@ def _leftmost_square_start(text: str) -> int | None:
     return None if best == n else best
 
 
+def starts_with_square(text: str) -> bool:
+    """True iff a square xx starts text: the answer of SHORTEST_SQUARE.match,
+    without its one regex step per candidate half.
+
+    Halves up to 31 go to the regex engine on text[:62].  A half L in
+    [m, 2m), m = 32, 64, ..., puts the block text[:m] at L, so str.find
+    gives the candidates L and one comparison confirms each, the same
+    block idea as `_leftmost_square_start` at the one start 0.
+    """
+    if _SHORT_SQUARE.match(text, 0, 62):
+        return True
+    n = len(text)
+    m = 32
+    while 2 * m <= n:
+        block = text[:m]
+        end = min(n // 2, 2 * m - 1) + m
+        j = text.find(block, m, end)
+        while j != -1:
+            if text.startswith(text[:j], j):
+                return True
+            j = text.find(block, j + 1, end)
+        m *= 2
+    return False
+
+
 def first_square(w: Word) -> tuple[int, int] | None:
     """(start, half) of the square xx in w that starts leftmost, taking the
     shortest x at that start; None when w is squarefree.

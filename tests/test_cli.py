@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from revfree import Word
+from revfree import Word, __version__
 from revfree.cli import main
 
 TERNARY_MORPHISM = "0 -> 0012\n1 -> 0112\n"
@@ -305,6 +305,50 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["check", "--word", "01", "-k", "2", "-s", "2", "--nope"])
         assert exc.value.code == 2
+
+
+class TestCallsInARow:
+    """One parser serves every call in a process; no call leaks state into
+    the next."""
+
+    def test_parser_is_built_once(self):
+        from revfree.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_library_functions_are_read_at_call_time(self, capsys, monkeypatch):
+        # a wrapper swapped into the module after the parser was built is called
+        import revfree.cli as cli
+
+        run(capsys, ["check", "--word", "012", "-k", "2", "-s", "3"])
+        calls = []
+        find_conflict = cli.find_conflict
+        monkeypatch.setattr(cli, "find_conflict", lambda *a: calls.append(a) or find_conflict(*a))
+        code, out = run(capsys, ["check", "--word", "012", "-k", "2", "-s", "3"])
+        assert (code, out.strip(), len(calls)) == (0, "valid", 1)
+
+    def test_json_flag_does_not_stick(self, capsys):
+        code, out = run(capsys, ["check", "--word", "0110", "-k", "2", "-s", "2", "--json"])
+        assert code == 1 and json.loads(out)["valid"] is False
+        code, out = run(capsys, ["check", "--word", "0110", "-k", "2", "-s", "2"])
+        assert code == 1 and out.startswith("conflict: ")
+
+    def test_exclusive_options_reset(self, capsys):
+        code, out = run(capsys, ["factors", "--word", "012012", "-n", "2", "-s", "3"])
+        assert (code, out.split()) == (0, ["01", "12", "20"])
+        code, out = run(capsys, ["factors", "--period", "01", "-n", "2", "-s", "2"])
+        assert (code, out.split()) == (0, ["01", "10"])
+        code, out = run(capsys, ["factors", "--word", "0011", "-n", "3", "-s", "2"])
+        assert (code, out.split()) == (0, ["001", "011"])
+
+    def test_version_exits_zero_between_calls(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.strip() == f"revfree {__version__}"
+            code, out = run(capsys, ["check", "--word", "012", "-k", "2", "-s", "3"])
+            assert (code, out.strip()) == (0, "valid")
 
 
 class TestExitCodes:

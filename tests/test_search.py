@@ -240,6 +240,18 @@ class TestMaxValidLength:
         assert max_valid_length(4, sq2, 64, fix_first_symbol=True).nodes_explored == 737
         assert max_valid_length(4, sq3, 900).nodes_explored == 1552
 
+    @pytest.mark.parametrize("s, k, fix_first, nodes", [
+        (3, 6, True, 3642), (4, 3, True, 5270), (5, 2, False, 3153),
+    ])
+    def test_deep_squarefree_trees_pinned(self, s, k, fix_first, nodes):
+        # past depth 64, where the square test finds blocks instead of
+        # matching one regex step per half
+        q = AvoidanceQuery(k, require_squarefree=True)
+        outcome = max_valid_length(s, q, 3000, fix_first_symbol=fix_first)
+        assert isinstance(outcome, ExceedsCap)
+        assert outcome.nodes_explored == nodes
+        assert is_valid(outcome.sample_survivor, q)
+
     def test_deep_search_is_not_depth_limited(self):
         q = AvoidanceQuery(5)
         outcome = max_valid_length(2, q, cap=2048)

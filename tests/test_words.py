@@ -24,7 +24,13 @@ from revfree import (
     stream_prefix,
 )
 from revfree.verification import BINARY_TO_TERNARY, TERNARY_TO_FIVE
-from revfree.words import BUILTIN_NAMES, LETTERS, first_square
+from revfree.words import (
+    BUILTIN_NAMES,
+    LETTERS,
+    SHORTEST_SQUARE,
+    first_square,
+    starts_with_square,
+)
 
 
 def w(text, s):
@@ -525,3 +531,70 @@ class TestLongSquares:
 
     def test_t8_image_prefix_is_squarefree(self):
         assert first_square(T8_PREFIX) is None
+
+
+def regex_starts_with_square(text):
+    return SHORTEST_SQUARE.match(text) is not None
+
+
+@st.composite
+def t8_texts_with_leading_square(draw):
+    """Up to 2,000 symbols of T8's word, sometimes after a copy of their
+    first 1..600 symbols (a square at 0 whose half reaches every level of
+    block finding), and sometimes with one symbol changed."""
+    text = T8_PREFIX.text[: draw(st.integers(0, 2_000))]
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(1, 600))] + text
+    if text and draw(st.booleans()):
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + draw(st.sampled_from("01234")) + text[i + 1 :]
+    return text
+
+
+class TestStartsWithSquare:
+    """starts_with_square against the one regex match it replaces in the
+    searches: the same answer on every text."""
+
+    @settings(max_examples=1_000, deadline=None)
+    @given(st.one_of(
+        st.integers(2, 5).flatmap(lambda s: st.text(LETTERS[:s], max_size=2_000)),
+        t8_texts_with_leading_square(),
+    ))
+    def test_matches_regex_oracle(self, text):
+        assert starts_with_square(text) == regex_starts_with_square(text)
+
+    def test_squares_at_the_start_of_t8(self):
+        text = T8_PREFIX.text[:3_000]
+        for half in range(1, 301):
+            squared = text[:half] + text
+            assert starts_with_square(squared) and regex_starts_with_square(squared)
+            assert starts_with_square(text[:half] * 2)  # the square is the whole text
+            # the same with the second half's last symbol changed: no square
+            # of that half, though a longer or shorter one may still start it
+            spoiled = text[:half] + text[: half - 1] + "9" + text[half:]
+            assert starts_with_square(spoiled) == regex_starts_with_square(spoiled)
+
+    @pytest.mark.parametrize("m, d, half", [(32, 20, 55), (32, 24, 60), (64, 40, 110)])
+    def test_square_at_a_later_block_hit(self, m, d, half):
+        # text[:m] has period d, so it occurs at half - d, which is no
+        # square, before it occurs at half, which is
+        p = T8_PREFIX.text[:d]
+        block = (p * 2)[:m]
+        x = block + "9" * (half - d - m) + p
+        text = x + x + T8_PREFIX.text[:50]
+        assert text.find(block, m) == half - d
+        assert len(SHORTEST_SQUARE.match(text).group(1)) == half
+        assert starts_with_square(text)
+        spoiled = text[: 2 * half - 1] + "8" + text[2 * half :]
+        assert starts_with_square(spoiled) == regex_starts_with_square(spoiled)
+
+    @pytest.mark.parametrize(
+        "length", [61, 62, 63, 64, 65, 66, 127, 128, 129, 130, 200, 1_000, 5_000]
+    )
+    def test_letters_before_reversed_t8_prefixes(self, length):
+        # a search path is its word reversed: a new letter in front of a
+        # squarefree text starts a square or keeps it squarefree
+        rev = T8_PREFIX.text[:length][::-1]
+        for c in "01234":
+            assert starts_with_square(c + rev) == regex_starts_with_square(c + rev)
+        assert not starts_with_square(rev)
