@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--squarefree", action="store_true")
     p.add_argument("--cap", type=int, required=True)
     p.add_argument("--fix-first", action="store_true",
-                   help="symmetry reduction: fix the first symbol to 0")
+                   help="report only words starting with 0: witnesses and "
+                        "nodes under the root's child 0")
     add_common(p)
     p.set_defaults(func=cmd_search)
 

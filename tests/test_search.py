@@ -26,6 +26,7 @@ from revfree import (
     stream_prefix,
 )
 from revfree import search
+from revfree.words import SHORTEST_SQUARE, alphabet, starts_with_square
 
 
 def w(text, s):
@@ -42,6 +43,59 @@ def naive_enumerate(s, q, length):
         if is_valid(word, q):
             out.append(word.text)
     return out
+
+
+def plain_max_valid_length(s, q, cap, fix_first_symbol=False):
+    # the reference for max_valid_length: a preorder DFS over every word,
+    # trying the letters in order, with root choices 0 only under
+    # fix_first_symbol; it counts each valid word it visits, and the root
+    letters = alphabet(s)
+    k, squarefree = q.k, q.require_squarefree
+    root_choices = 1 if fix_first_symbol else s
+    rev = ""  # the path's digits, reversed
+    windows = set()  # the length-k windows on the path
+    added = []  # per depth: the window its symbol added
+    nexts = [0]  # per depth: the next symbol to try
+    best_len = 0
+    witnesses = [""]
+    nodes = 1
+    while nexts:
+        d = len(nexts)
+        c = nexts[-1]
+        if c == (s if d > 1 else root_choices):
+            nexts.pop()
+            if d > 1:
+                window = added.pop()
+                if window is not None:
+                    windows.remove(window)
+                rev = rev[1:]
+            continue
+        nexts[-1] = c + 1
+        ext = letters[c] + rev
+        window = None
+        if d >= k:
+            reversal = ext[:k]
+            window = reversal[::-1]
+            if window == reversal or reversal in windows:
+                continue
+            if window in windows:
+                window = None
+        if squarefree and (SHORTEST_SQUARE.match(ext) if d < 64 else starts_with_square(ext)):
+            continue
+        nodes += 1
+        if d == cap:
+            return ExceedsCap(cap, Word(ext[::-1], s), nodes)
+        if d > best_len:
+            best_len = d
+            witnesses = [ext]
+        elif d == best_len:
+            witnesses.append(ext)
+        if window is not None:
+            windows.add(window)
+        added.append(window)
+        rev = ext
+        nexts.append(0)
+    return Finite(best_len, tuple(Word(rev[::-1], s) for rev in witnesses), nodes)
 
 
 class TestEnumerateValid:
@@ -226,12 +280,56 @@ class TestMaxValidLength:
             lengths.append(outcome.max_length)
         assert lengths == sorted(lengths)
 
-    def test_fix_first_symbol_quotients_witnesses(self):
-        free = max_valid_length(2, AvoidanceQuery(4), cap=32)
-        fixed = max_valid_length(2, AvoidanceQuery(4), cap=32, fix_first_symbol=True)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.booleans(), st.integers(1, 80))
+    def test_fix_first_symbol_quotients_witnesses(self, s, k, squarefree, cap):
+        # the words under the root's child 0: the other s - 1 children's
+        # subtrees are its renamings, and the first survivor starts with 0
+        q = AvoidanceQuery(k, squarefree)
+        free = max_valid_length(s, q, cap)
+        fixed = max_valid_length(s, q, cap, fix_first_symbol=True)
+        if isinstance(free, ExceedsCap):
+            assert fixed == free
+            return
+        assert isinstance(fixed, Finite)
         assert fixed.max_length == free.max_length
-        assert all(x[0] == 0 for x in fixed.witnesses)
-        assert len(fixed.witnesses) < len(free.witnesses)
+        assert fixed.witnesses == tuple(x for x in free.witnesses if x.text[:1] in ("", "0"))
+        assert free.nodes_explored - 1 == s * (fixed.nodes_explored - 1)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_agrees_with_plain_dfs(self, s):
+        # past the levels' reach, and on both sides of depth 64, where the
+        # square test changes from one regex match to finding blocks
+        for k, squarefree, cap, fix_first in itertools.product(
+            range(1, 8), (False, True), (63, 64, 65, 129, 300), (False, True)
+        ):
+            q = AvoidanceQuery(k, squarefree)
+            expected = plain_max_valid_length(s, q, cap, fix_first)
+            assert max_valid_length(s, q, cap, fix_first) == expected, (k, squarefree, cap)
+
+    def test_extends_only_canonical_paths(self, monkeypatch):
+        # the DFS walks one word per alphabet-permutation orbit: each path
+        # it hands the square test has letters first occurring in the order
+        # 0, 1, 2, ..., below depth 64 and from there on
+        tested = {"short": [], "long": []}
+
+        class RecordingRegex:
+            def match(self, rev):
+                tested["short"].append(rev)
+                return SHORTEST_SQUARE.match(rev)
+
+        def recording_starts_with_square(rev):
+            tested["long"].append(rev)
+            return starts_with_square(rev)
+
+        monkeypatch.setattr(search, "SHORTEST_SQUARE", RecordingRegex())
+        monkeypatch.setattr(search, "starts_with_square", recording_starts_with_square)
+        assert max_valid_length(4, AvoidanceQuery(2, True), 64).nodes_explored == 2945
+        assert isinstance(max_valid_length(5, AvoidanceQuery(2, True), 300), ExceedsCap)
+        assert tested["short"] and tested["long"]
+        for rev in tested["short"] + tested["long"]:
+            first_seen = "".join(dict.fromkeys(rev[::-1]))
+            assert first_seen == "01234"[: len(first_seen)]
 
     def test_node_counts_pin_the_search_tree(self):
         # exact and machine-independent: a change to the tree shows up here
@@ -294,6 +392,10 @@ class TestForcedExtension:
     def test_invalid_seed_rejected(self):
         with pytest.raises(ValueError):
             forced_extension_check(2, 2, w("00", 2), 1)
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="steps"):
+            forced_extension_check(3, 2, w("01", 3), -1)
 
     @settings(max_examples=300, deadline=None)
     @given(
