@@ -8,7 +8,6 @@ contains an offending length-k prefix whose reversal is a suffix of x^R.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .words import Word, alphabet, factors, first_square
@@ -72,19 +71,30 @@ def is_valid(w: Word, q: AvoidanceQuery) -> bool:
 
 
 def find_avoiding_word(s: int, length: int, patterns: set[Word] | frozenset[Word]) -> Word | None:
-    """A word of the given length over {0..s-1} containing no member of
-    `patterns` as a contiguous subword, or None when every word contains one."""
+    """The lexicographically first word of the given length over {0..s-1}
+    containing no member of `patterns` as a contiguous subword, or None when
+    every word contains one.
+
+    A depth-first search over the words that avoid every pattern, trying
+    the letters in order: such words are closed under prefixes, and one
+    more letter makes a pattern occur only as a suffix.  So its cost follows
+    the avoiding words shorter than `length`, not the s^length words, and
+    it keeps one path, not a level, which grows exponentially when the
+    patterns are avoidable.
+    """
     if length < 1:
         raise ValueError("length must be at least 1")
     letters = alphabet(s)
-    pats = [p.text for p in patterns]
+    pats = tuple(p.text for p in patterns)
     for p in pats:
         if p.strip(letters):
             raise ValueError(f"pattern {p} is not over an alphabet of size {s}")
-    for candidate in itertools.product(letters, repeat=length):
-        text = "".join(candidate)
-        if not any(p in text for p in pats):
+    stack = [""]  # avoiding words, each one's children pushed last letter first
+    while stack:
+        text = stack.pop()
+        if len(text) == length:
             return Word(text, s)
+        stack += [ext for c in reversed(letters) for ext in [text + c] if not ext.endswith(pats)]
     return None
 
 

@@ -1,8 +1,9 @@
 import itertools
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revfree import (
@@ -19,6 +20,7 @@ from revfree import (
     reverse,
     verify_unavoidable,
 )
+from revfree.words import LETTERS
 
 
 def w(text, s):
@@ -231,3 +233,41 @@ class TestUnavoidable:
     def test_pattern_over_wrong_alphabet_rejected(self):
         with pytest.raises(ValueError):
             verify_unavoidable(2, 3, {w("012", 3)})
+
+    def test_unavoidable_at_length_40(self):
+        # 2^40 words, but the search walks only the words of length < 9 that
+        # avoid the set: about 0.1 ms (a pass over every word took weeks)
+        start = time.perf_counter()
+        assert verify_unavoidable(2, 40, self.K4_SET)
+        assert time.perf_counter() - start < 1.0
+
+    def test_avoidable_set_at_length_60(self):
+        # the words avoiding 000 number about 1.84^60: a level-by-level pass
+        # would hold billions of them, the search one path
+        assert find_avoiding_word(2, 60, {w("000", 2)}) == w("001" * 20, 2)
+
+
+def product_avoiding_word(s, length, patterns):
+    """Brute-force oracle: the first word of itertools.product order that
+    contains no pattern."""
+    texts = [p.text for p in patterns]
+    for candidate in itertools.product(LETTERS[:s], repeat=length):
+        text = "".join(candidate)
+        if not any(p in text for p in texts):
+            return Word(text, s)
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@example((2, 3, frozenset()))
+@example((3, 2, frozenset({""})))
+@given(st.integers(1, 4).flatmap(lambda s: st.tuples(
+    st.just(s),
+    st.integers(1, 8),
+    st.frozensets(st.text(LETTERS[:s], max_size=4), max_size=6),
+)))
+def test_find_avoiding_word_matches_product_order(case):
+    # random pattern sets, among them the empty set and the empty pattern
+    s, length, texts = case
+    patterns = frozenset(Word(t, s) for t in texts)
+    assert find_avoiding_word(s, length, patterns) == product_avoiding_word(s, length, patterns)

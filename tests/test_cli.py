@@ -381,6 +381,9 @@ class TestExitCodes:
         "--inner-builtin nonperiodic-binary --inner-preamble 0",
         # a ternary inner word under a binary morphism, even with no symbol drawn
         "morphic stream --morphism {ternary} --length 0 --inner-builtin thue-squarefree-ternary",
+        # 10^11 symbols: refused before any is built, not OOM-killed
+        "morphic stream --morphism {ternary} --length 100000000000 "
+        "--inner-builtin nonperiodic-binary",
         "morphic marker --morphism {ternary} --marker ''",
     ])
     def test_bad_input_is_usage_error(self, capsys, tmp_path, argv):

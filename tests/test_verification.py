@@ -1,7 +1,24 @@
-from revfree import Morphism, all_words_universe, has_reversal_conflict, image_factor_set
+from revfree import (
+    AvoidanceQuery,
+    Morphism,
+    Periodic,
+    Word,
+    all_words_universe,
+    find_avoiding_word,
+    has_reversal_conflict,
+    image_factor_set,
+    is_valid,
+    periodicity_transport_check,
+    stream_prefix,
+)
+from revfree import verification
 from revfree.verification import (
     BINARY_K6_FACTORS,
     BINARY_SELF,
+    UNAVOIDABLE_SETS,
+    check_t3,
+    check_t4,
+    check_t6,
     run_verification,
 )
 
@@ -36,3 +53,50 @@ def test_evidence_records_derived_goldens():
     assert by_id["T5"].evidence["valid_count_len9"] == 32
     assert by_id["T7"].evidence["max_length"] == 20
     assert by_id["T7"].evidence["witness_count"] == 24
+
+
+# The checks below each break one object a claim check examines, through the
+# names the check reads, and assert that the check fails.
+
+def test_t6_fails_when_one_length_8_word_decodes_wrong(monkeypatch):
+    wrong = []
+
+    def decode_one_word_wrong(h, y):
+        u = periodicity_transport_check(h, y)
+        if u is not None and len(u) == 8 * 2**8:
+            # the 101st length-8 word gets its last letter flipped
+            i = 8 * 100 + 7
+            u = Word(u.text[:i] + "10"[int(u.text[i])] + u.text[i + 1 :], 2)
+            wrong.append(i)
+        return u
+
+    assert check_t6().evidence["decode_ok"] is True
+    monkeypatch.setattr(verification, "periodicity_transport_check", decode_one_word_wrong)
+    result = check_t6()
+    assert wrong, "the decoder never saw the length-8 words"
+    assert not result.passed
+    assert result.evidence["decode_ok"] is False
+
+
+def test_t4_fails_on_a_reversal_conflict_near_symbol_110(monkeypatch):
+    def prefix_with_flip(spec, n):
+        text = stream_prefix(spec, n).text
+        if n > 109:  # flip symbol 109: prefixes up to 109 symbols stay valid
+            text = text[:109] + "10"[int(text[109])] + text[110:]
+        return Word(text, 2)
+
+    q = AvoidanceQuery(5)
+    spoiled = prefix_with_flip(Periodic(Word("", 2), Word("001011", 2)), 120)
+    assert is_valid(spoiled[:109], q) and not is_valid(spoiled[:110], q)
+    monkeypatch.setattr(verification, "stream_prefix", prefix_with_flip)
+    result = check_t4()
+    assert not result.passed
+    assert result.evidence["prefixes_checked"] == 121
+
+
+def test_t3_fails_when_an_unavoidable_set_loses_a_pattern(monkeypatch):
+    length, patterns = UNAVOIDABLE_SETS[4]
+    fewer = patterns - {Word("0110", 2)}
+    assert find_avoiding_word(2, length, fewer) == Word("000101100", 2)
+    monkeypatch.setitem(UNAVOIDABLE_SETS, 4, (length, fewer))
+    assert not check_t3().passed

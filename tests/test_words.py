@@ -25,9 +25,14 @@ from revfree import (
 )
 from revfree.verification import BINARY_TO_TERNARY, TERNARY_TO_FIVE
 from revfree.words import (
+    _SHORT_SQUARE,
+    _XOR_SCAN_FROM,
     BUILTIN_NAMES,
     LETTERS,
+    MAX_PREFIX,
     SHORTEST_SQUARE,
+    StreamSpec,
+    _short_square_start,
     first_square,
     starts_with_square,
 )
@@ -374,6 +379,21 @@ class TestStreams:
         with pytest.raises(ValueError):
             stream_prefix(Builtin("nonperiodic-binary"), -1)
 
+    def test_huge_length_refused_before_building(self):
+        class Unbuildable(StreamSpec):
+            alphabet_size = 2
+
+            def _prefix(self, n):
+                raise AssertionError(f"built a prefix of {n} symbols")
+
+        for n in (MAX_PREFIX + 1, 10**11):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                stream_prefix(Unbuildable(), n)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            stream_prefix(Builtin("thue-squarefree-ternary"), 10**11)
+        with pytest.raises(AssertionError):  # the limit itself is allowed
+            stream_prefix(Unbuildable(), MAX_PREFIX)
+
     def test_periodic_prefix(self):
         assert str(stream_prefix(Periodic(w("", 3), w("012", 3)), 7)) == "0120120"
         assert str(stream_prefix(Periodic(w("00", 2), w("01", 2)), 5)) == "00010"
@@ -531,6 +551,62 @@ class TestLongSquares:
 
     def test_t8_image_prefix_is_squarefree(self):
         assert first_square(T8_PREFIX) is None
+
+
+def regex_short_square_start(text):
+    found = _SHORT_SQUARE.search(text)
+    return len(text) if found is None else found.start()
+
+
+@st.composite
+def t8_texts_with_short_square(draw):
+    """Up to 3,000 symbols of T8's word, on both sides of the length where
+    the XOR scan takes over, with a square of half 1..31 inserted at a
+    random position, and sometimes one symbol changed."""
+    half = draw(st.integers(1, 31))
+    length = draw(st.integers(half, draw(st.sampled_from([2 * _XOR_SCAN_FROM, 3_000]))))
+    symbols = t8_window(draw(st.integers(0, 80_000)), length)
+    symbols = with_square(symbols, draw(st.integers(0, length - half)), half)
+    if draw(st.booleans()):
+        symbols[draw(st.integers(0, len(symbols) - 1))] = draw(st.integers(0, 4))
+    return "".join(map(str, symbols))
+
+
+class TestShortSquares:
+    """The XOR scan for squares of half up to 31 against the regex search
+    it replaces on long words: the same start on every text."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.integers(1, 5).flatmap(lambda s: st.text(LETTERS[:s], max_size=4 * _XOR_SCAN_FROM)),
+        t8_texts_with_short_square(),
+    ))
+    def test_matches_regex_oracle(self, text):
+        assert _short_square_start(text) == regex_short_square_start(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 80_000), st.integers(_XOR_SCAN_FROM, 3_000), st.data())
+    def test_half_32_is_not_short(self, offset, length, data):
+        # a square of half 32 in a squarefree word: the short scan must not
+        # report it, and the whole test finds it or a square overlapping it
+        symbols = t8_window(offset, length)
+        position = data.draw(st.integers(0, length - 32))
+        text = "".join(map(str, with_square(symbols, position, 32)))
+        assert _short_square_start(text) == regex_short_square_start(text)
+        if _SHORT_SQUARE.search(text) is None:
+            assert _short_square_start(text) == len(text)
+            start, half = first_square(Word(text, 5))
+            assert half >= 32 and start <= position
+
+    def test_square_right_after_a_segment(self):
+        # the scan goes in segments; a square starting at a segment's last
+        # symbol reaches 61 symbols past it
+        text = T8_PREFIX.text[:5_000]
+        for position in (_XOR_SCAN_FROM - 1, _XOR_SCAN_FROM, 3 * _XOR_SCAN_FROM - 1):
+            for half in (1, 30, 31):
+                squared = text[: position + half] + text[position:]
+                start = _short_square_start(squared)
+                assert start == regex_short_square_start(squared) and start <= position
 
 
 def regex_starts_with_square(text):
