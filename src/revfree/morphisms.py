@@ -100,7 +100,9 @@ MAX_UNIVERSE = 2**20
 
 def _universe_letters(s: int, m: int) -> str:
     """The letters of a universe of words of length m over {0..s-1}; refused
-    when s^m exceeds MAX_UNIVERSE."""
+    when m < 1 or s^m exceeds MAX_UNIVERSE."""
+    if m < 1:
+        raise ValueError(f"universe length must be at least 1, not {m}")
     letters = alphabet(s)
     # s ** m exceeds the bound once m reaches its bit length, unless s == 1
     if m > MAX_UNIVERSE or s ** min(m, MAX_UNIVERSE.bit_length()) > MAX_UNIVERSE:

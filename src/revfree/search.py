@@ -6,10 +6,10 @@ more symbol iff the reversal of its new length-k window does not occur in it
 and, for squarefree queries, no square ends at the new symbol.  A word in the
 search is its own digit string reversed, so that the newest window and the
 squares ending at the newest symbol are prefixes, and one more reversal gives
-the result's digit string.  On words shorter than 64 symbols one regex match
-finds such a square; from 64 on `words.starts_with_square` gives the same
-answer by finding blocks with `str.find`, not by one regex step per half
-(5-10 us against 16-25 us at 801 symbols, Intel Xeon, Python 3.11).
+the result's digit string.  `words.starts_with_square` finds such a square:
+one bounded regex match for halves up to 31, and blocks found by `str.find`
+for longer ones, not one regex step per half (5-10 us against 16-25 us at
+801 symbols, Intel Xeon, Python 3.11).
 
 Two strategies serve the searches.  `enumerate_valid` and
 `forced_extension_check` step one length at a time through `_next_level`,
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 
 from .avoidance import AvoidanceQuery
 from .words import (
-    SHORTEST_SQUARE,
     Periodic,
     Word,
     alphabet,
@@ -84,12 +83,6 @@ def rotation_family(z: Word) -> frozenset[Word]:
     return cyclic_shifts(z) | cyclic_shifts(complement(z))
 
 
-# The word length from which a square test calls `starts_with_square`.  On
-# shorter words one regex match is cheaper than the call: about 320 against
-# 470 ns per word up to length 10 (Intel Xeon, Python 3.11).
-_BLOCK_FIND_FROM = 64
-
-
 def _next_level(level: list[str], letters: str, q: AvoidanceQuery) -> list[str]:
     """Every valid extension, by each of the letters in turn, of a nonempty
     level of valid words of one length, held as reversed paths.
@@ -107,10 +100,8 @@ def _next_level(level: list[str], letters: str, q: AvoidanceQuery) -> list[str]:
         # would make ext a closure cell, which is slower
         level = [ext for rev in level for c in letters for ext in [c + rev]
                  if ext[k - 1 :: -1] not in ext]
-    if q.require_squarefree and level:
-        short = len(level[0]) < _BLOCK_FIND_FROM
-        has_square = SHORTEST_SQUARE.match if short else starts_with_square
-        level = [ext for ext in level if not has_square(ext)]
+    if q.require_squarefree:
+        level = [ext for ext in level if not starts_with_square(ext)]
     return level
 
 
@@ -247,8 +238,7 @@ def max_valid_length(
                 continue
             if window in windows:
                 window = None
-        if squarefree and (SHORTEST_SQUARE.match(ext) if d < _BLOCK_FIND_FROM
-                           else starts_with_square(ext)):
+        if squarefree and starts_with_square(ext):
             continue
         if c == j:
             j += 1

@@ -359,6 +359,9 @@ class TestExitCodes:
         "factors --word 01 -n 0 -s 2",
         "check --word 01 -k 2 -s 0",
         "morphic factor-set --morphism {ternary} -k 3 --universe-length 0",
+        "morphic factor-set --morphism {ternary} -k 3 --universe-length 0 --squarefree-universe",
+        "morphic factor-set --morphism {ternary} -k 3 --universe-length -1",
+        "morphic factor-set --morphism {ternary} -k 3 --universe-length -1 --squarefree-universe",
         "morphic factor-set --morphism {ternary} -k 0",
         "morphic factor-set --morphism {ternary} -k -1",
         # 2^30 preimages: refused before any is built

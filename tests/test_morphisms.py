@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -185,12 +186,21 @@ class TestUniverses:
         with pytest.raises(ValueError, match="limit"):
             squarefree_words_universe(s, m)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_universe_length_below_1_refused(self, m):
+        for universe in (all_words_universe, squarefree_words_universe):
+            with pytest.raises(ValueError, match=f"universe length must be at least 1, not {m}"):
+                universe(2, m)
+
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_squarefree_universe_is_the_filtered_product(s):
     for m in range(1, 8):
-        expected = frozenset(filter(is_squarefree, all_words_universe(s, m).members))
-        assert squarefree_words_universe(s, m) == FactorSet(m, expected)
+        texts = ["".join(t) for t in itertools.product("0123"[:s], repeat=m)]
+        squarefree = [t for t in texts if not re.search(r"(.+)\1", t)]
+        for universe, expected in ((all_words_universe, texts),
+                                   (squarefree_words_universe, squarefree)):
+            assert universe(s, m) == FactorSet(m, frozenset(Word(t, s) for t in expected))
 
 
 def test_empty_universe_refused():

@@ -80,7 +80,7 @@ def plain_max_valid_length(s, q, cap, fix_first_symbol=False):
                 continue
             if window in windows:
                 window = None
-        if squarefree and (SHORTEST_SQUARE.match(ext) if d < 64 else starts_with_square(ext)):
+        if squarefree and SHORTEST_SQUARE.match(ext):
             continue
         nodes += 1
         if d == cap:
@@ -298,8 +298,8 @@ class TestMaxValidLength:
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
     def test_agrees_with_plain_dfs(self, s):
-        # past the levels' reach, and on both sides of depth 64, where the
-        # square test changes from one regex match to finding blocks
+        # past the levels' reach; caps 63, 64 and 65 straddle 64 symbols,
+        # where `starts_with_square` first finds blocks for halves from 32
         for k, squarefree, cap, fix_first in itertools.product(
             range(1, 8), (False, True), (63, 64, 65, 129, 300), (False, True)
         ):
@@ -311,23 +311,17 @@ class TestMaxValidLength:
         # the DFS walks one word per alphabet-permutation orbit: each path
         # it hands the square test has letters first occurring in the order
         # 0, 1, 2, ..., below depth 64 and from there on
-        tested = {"short": [], "long": []}
-
-        class RecordingRegex:
-            def match(self, rev):
-                tested["short"].append(rev)
-                return SHORTEST_SQUARE.match(rev)
+        tested = []
 
         def recording_starts_with_square(rev):
-            tested["long"].append(rev)
+            tested.append(rev)
             return starts_with_square(rev)
 
-        monkeypatch.setattr(search, "SHORTEST_SQUARE", RecordingRegex())
         monkeypatch.setattr(search, "starts_with_square", recording_starts_with_square)
         assert max_valid_length(4, AvoidanceQuery(2, True), 64).nodes_explored == 2945
         assert isinstance(max_valid_length(5, AvoidanceQuery(2, True), 300), ExceedsCap)
-        assert tested["short"] and tested["long"]
-        for rev in tested["short"] + tested["long"]:
+        assert min(map(len, tested)) < 64 <= max(map(len, tested))
+        for rev in tested:
             first_seen = "".join(dict.fromkeys(rev[::-1]))
             assert first_seen == "01234"[: len(first_seen)]
 
