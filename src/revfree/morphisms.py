@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .avoidance import AvoidanceQuery
 from .search import _next_level
-from .words import LETTERS, FactorSet, Word, alphabet, is_squarefree
+from .words import LETTERS, FactorSet, Word, _windows, alphabet, is_squarefree
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,10 @@ def image_factor_set(h: Morphism, k: int, preimage_universe: FactorSet) -> froze
             f"universe of length {m} cannot cover windows of length {k} "
             f"(minimum image length {min_len})"
         )
-    table = h.table
-    images = [u.text.translate(table) for u in preimage_universe.members]
-    return frozenset({x[i : i + k] for x in images for i in range(len(x) - k + 1)})
+    # one translate of the whole universe; "," is no letter, so it stays
+    # between the images and splits them apart again
+    joined = ",".join(u.text for u in preimage_universe.members)
+    return _windows(joined.translate(h.table).split(","), k, h.codomain_size)
 
 
 @dataclass(frozen=True)

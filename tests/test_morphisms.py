@@ -36,6 +36,8 @@ from revfree.morphisms import MAX_UNIVERSE
 H_TERNARY = Morphism.from_strings(["0012", "0112"], 3)
 H_BINARY = Morphism.from_strings(["0001011", "0010111"], 2)
 H_FIVE = Morphism.from_strings(["012", "013", "014"], 5)
+# Thue's morphism 0 -> 012, 1 -> 02, 2 -> 1: images of three lengths
+THUE = Morphism.from_strings(["012", "02", "1"], 3)
 
 
 def w(text, s):
@@ -53,8 +55,7 @@ class TestMorphism:
         assert H_TERNARY.is_uniform
 
     def test_non_uniform(self):
-        h = Morphism.from_strings(["012", "02", "1"], 3)
-        assert not h.is_uniform
+        assert not THUE.is_uniform
 
     def test_empty_image_rejected(self):
         with pytest.raises(ValueError):
@@ -113,8 +114,7 @@ class TestApply:
 
     def test_morphism_law(self):
         rng = random.Random(43)
-        morphisms = [H_TERNARY, H_BINARY, H_FIVE,
-                     Morphism.from_strings(["012", "02", "1"], 3)]
+        morphisms = [H_TERNARY, H_BINARY, H_FIVE, THUE]
         for _ in range(1000):
             h = rng.choice(morphisms)
             u = random_word(rng, h.domain_size)
@@ -141,6 +141,22 @@ class TestImageFactorSet:
         fs = image_factor_set(H_FIVE, 2, squarefree_words_universe(3, 2))
         assert fs == {"01", "12", "13", "14", "20", "30", "40"}
         assert not has_reversal_conflict(fs)
+
+    def test_non_uniform_images_are_cut_apart(self):
+        # joined, the images 012012 and 11 of 00 and 22 hold the window 21
+        # across their boundary, which neither image holds
+        universe = FactorSet(2, frozenset({Word("00", 3), Word("22", 3)}))
+        assert image_factor_set(THUE, 2, universe) == {"01", "12", "20", "11"}
+
+    def test_non_uniform_images_against_each_images_windows(self):
+        # k up to 5 packs ternary codes in bytes, k = 6 (3^6 > 256) slices
+        for universe in (all_words_universe, squarefree_words_universe):
+            for m in range(1, 7):
+                members = universe(3, m)
+                images = [apply(THUE, u).text for u in members.members]
+                for k in range(1, m + 1):
+                    want = {x[i : i + k] for x in images for i in range(len(x) - k + 1)}
+                    assert image_factor_set(THUE, k, members) == want, (m, k)
 
     def test_zero_length_rejected(self):
         for k in (0, -1):
@@ -312,7 +328,7 @@ class TestMarkerSync:
 
     def test_non_uniform_rejected(self):
         with pytest.raises(ValueError):
-            marker_sync_check(Morphism.from_strings(["012", "02", "1"], 3), w("0", 3))
+            marker_sync_check(THUE, w("0", 3))
 
     def test_empty_marker_rejected(self):
         # it would "occur" at every offset of every pair
@@ -405,9 +421,7 @@ class TestBlockDecode:
 
     def test_non_uniform_rejected(self):
         with pytest.raises(ValueError):
-            periodicity_transport_check(
-                Morphism.from_strings(["012", "02", "1"], 3), w("012", 3)
-            )
+            periodicity_transport_check(THUE, w("012", 3))
 
     def test_word_over_another_alphabet_rejected(self):
         # the digits of h(0) over 5 letters are not the binary image h(0)

@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revfree import (
@@ -31,8 +31,10 @@ from revfree.words import (
     LETTERS,
     MAX_PREFIX,
     SHORTEST_SQUARE,
+    _PROBE_FROM,
     StreamSpec,
     _short_square_start,
+    _windows,
     first_square,
     starts_with_square,
 )
@@ -247,6 +249,42 @@ class TestFactors:
             word = of_symbols([rng.randrange(3) for _ in range(rng.randint(0, 15))], 3)
             n = rng.randint(1, 8)
             assert len(factors(word, n)) <= max(0, len(word) - n + 1)
+
+    # The packed codes serve s**n <= 256 and the slices the rest; the
+    # distinct codes come from set() below _PROBE_FROM windows per possible
+    # code and from one membership probe per code from there on.
+    @settings(max_examples=500, deadline=None)
+    @example(s=2, n=8, used=2, length=_PROBE_FROM * 256 + 6, seed=0)
+    @example(s=2, n=8, used=2, length=_PROBE_FROM * 256 + 7, seed=0)
+    @example(s=4, n=4, used=3, length=_PROBE_FROM * 256 + 3, seed=1)
+    @example(s=2, n=9, used=2, length=3000, seed=2)
+    @example(s=1, n=8, used=1, length=5, seed=0)
+    @given(
+        s=st.integers(1, 10),
+        n=st.integers(1, 12),
+        used=st.integers(1, 10),
+        length=st.one_of(st.integers(0, 16), st.integers(0, 1200)),
+        seed=st.integers(0, 2**32),
+    )
+    def test_agrees_with_slices(self, s, n, used, length, seed):
+        # words over the first `used` letters miss most codes, as valid words do
+        rng = random.Random(seed)
+        text = "".join(rng.choices(LETTERS[: min(used, s)], k=length))
+        want = frozenset(text[i : i + n] for i in range(len(text) - n + 1))
+        assert factors(Word(text, s), n) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s=st.integers(1, 10),
+        n=st.integers(1, 9),
+        lengths=st.lists(st.integers(0, 12), max_size=8),
+        seed=st.integers(0, 2**32),
+    )
+    def test_windows_never_straddle_two_texts(self, s, n, lengths, seed):
+        rng = random.Random(seed)
+        texts = ["".join(rng.choices(LETTERS[:s], k=m)) for m in lengths]
+        want = frozenset(x[i : i + n] for x in texts for i in range(len(x) - n + 1))
+        assert _windows(texts, n, s) == want
 
     def test_factor_set_rejects_mixed_lengths(self):
         with pytest.raises(ValueError):
