@@ -153,10 +153,9 @@ def image_factor_set(h: Morphism, k: int, preimage_universe: FactorSet) -> froze
             f"universe of length {m} cannot cover windows of length {k} "
             f"(minimum image length {min_len})"
         )
-    # one translate of the whole universe; "," is no letter, so it stays
-    # between the images and splits them apart again
-    joined = ",".join(u.text for u in preimage_universe.members)
-    return _windows(joined.translate(h.table).split(","), k, h.codomain_size)
+    table = h.table
+    images = (u.text.translate(table) for u in preimage_universe.members)
+    return _windows(images, k, h.codomain_size)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@ built by `factors`), and descriptions of infinite words.
 
 A window set of length-n windows over s letters is built from integer
 codes when s**n <= 256: every window's base-s code lands in its own byte of
-one big-integer sum, and only the distinct codes are decoded back to digit
-strings.  Longer windows, s**n > 256, are sliced one by one.
+one big-integer sum over a batch of the text, and only the distinct codes
+are decoded back to digit strings.  Longer windows, s**n > 256, are sliced
+one by one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
     from .morphisms import Morphism
@@ -244,10 +245,10 @@ def factors(w: Word, n: int) -> frozenset[str]:
 
 # Byte i of a symbol's ASCII digit becomes its value i.
 _DIGIT_VALUES = bytes.maketrans(LETTERS.encode(), bytes(range(10)))
-# On words of at least this many windows per possible code, one memchr per
-# code finds the distinct codes faster than a set() of every byte: 26
-# against 73 us at 3,000 symbols and 5 letters, n = 2 (Intel Xeon, Python 3.11).
-_PROBE_FROM = 4
+# Texts are coded in batches of about this many symbols, so that the few
+# byte-per-symbol buffers of one batch are all the coding holds at once,
+# whatever the number or length of the texts.
+_BATCH = 1 << 16
 
 
 def _window_codes(text: str, n: int, s: int) -> bytes:
@@ -267,21 +268,33 @@ def _window_codes(text: str, n: int, s: int) -> bytes:
     return codes.to_bytes(len(text), "big")[n - 1 :]
 
 
+def _batch_codes(texts: list[str], n: int, s: int) -> bytes:
+    """The codes of the windows inside one of the texts: the texts are
+    coded joined, and the codes of windows across two of them are cut away."""
+    codes = _window_codes("".join(texts), n, s)
+    # the windows inside the text ending at e start in [e - len(x), e - n]
+    return b"".join(
+        codes[e - len(x) : e - n + 1]
+        for x, e in zip(texts, itertools.accumulate(map(len, texts)))
+        if len(x) >= n
+    )
+
+
 @functools.cache
 def _code_words(s: int, n: int) -> tuple[str, ...]:
     # product() lists the words in the order of their codes
     return tuple(map("".join, itertools.product(alphabet(s), repeat=n)))
 
 
-def _windows(texts: list[str], n: int, s: int) -> frozenset[str]:
+def _windows(texts: Iterable[str], n: int, s: int) -> frozenset[str]:
     """The distinct length-n windows over {0..s-1} that lie inside one of
     the texts; a window across two neighbouring texts is not one of them.
 
-    When s**n <= 256 the texts are joined and coded by `_window_codes`, the
-    codes of the windows inside each text are kept, and only the distinct
-    ones are decoded.  That covers every window set of the paper's claims:
-    3 or 5 letters at n = 2, 3 at n = 3 and 2 at n = 5 and 6.  Longer
-    windows are sliced one by one.
+    When s**n <= 256 the texts are coded by `_batch_codes` in batches of
+    about _BATCH symbols, a longer text alone in pieces, and only the
+    distinct codes are decoded.  That covers every window set of the
+    paper's claims: 3 or 5 letters at n = 2, 3 at n = 3 and 2 at n = 5
+    and 6.  Longer windows are sliced one by one.
     """
     if n < 1:
         raise ValueError("factor length must be at least 1")
@@ -289,17 +302,24 @@ def _windows(texts: list[str], n: int, s: int) -> frozenset[str]:
         # no code fits a byte, so slice: a set comprehension, since
         # frozenset() of a generator is slower on long words
         return frozenset({x[i : i + n] for x in texts for i in range(len(x) - n + 1)})
-    codes = _window_codes("".join(texts), n, s)
-    # the windows inside the text ending at e start in [e - len(x), e - n]
-    codes = b"".join(
-        codes[e - len(x) : e - n + 1]
-        for x, e in zip(texts, itertools.accumulate(map(len, texts)))
-        if len(x) >= n
-    )
+    found: set[int] = set()
+    batch: list[str] = []
+    size = 0
+    for x in texts:
+        if len(x) > _BATCH:
+            # a long text is coded alone, in pieces of _BATCH windows that
+            # overlap by n - 1 symbols
+            for i in range(0, len(x) - n + 1, _BATCH):
+                found.update(_batch_codes([x[i : i + _BATCH + n - 1]], n, s))
+            continue
+        batch.append(x)
+        size += len(x)
+        if size >= _BATCH:
+            found.update(_batch_codes(batch, n, s))
+            batch, size = [], 0
+    found.update(_batch_codes(batch, n, s))
     words = _code_words(s, n)
-    if len(codes) < _PROBE_FROM * len(words):
-        return frozenset([words[c] for c in set(codes)])
-    return frozenset(itertools.compress(words, map(codes.__contains__, range(len(words)))))
+    return frozenset([words[c] for c in found])
 
 
 def periodic_factors(spec: Periodic, n: int) -> frozenset[str]:

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +24,7 @@ from revfree import (
     reverse,
     stream_prefix,
 )
+from revfree import words as words_module
 from revfree.verification import BINARY_TO_TERNARY, TERNARY_TO_FIVE
 from revfree.words import (
     _SHORT_SQUARE,
@@ -31,7 +33,7 @@ from revfree.words import (
     LETTERS,
     MAX_PREFIX,
     SHORTEST_SQUARE,
-    _PROBE_FROM,
+    _BATCH,
     StreamSpec,
     _short_square_start,
     _windows,
@@ -250,28 +252,29 @@ class TestFactors:
             n = rng.randint(1, 8)
             assert len(factors(word, n)) <= max(0, len(word) - n + 1)
 
-    # The packed codes serve s**n <= 256 and the slices the rest; the
-    # distinct codes come from set() below _PROBE_FROM windows per possible
-    # code and from one membership probe per code from there on.
+    # The packed codes serve s**n <= 256 and the slices the rest.  The texts
+    # are coded in batches of _BATCH symbols, a longer text alone in pieces;
+    # small batches put those cuts inside short words.
     @settings(max_examples=500, deadline=None)
-    @example(s=2, n=8, used=2, length=_PROBE_FROM * 256 + 6, seed=0)
-    @example(s=2, n=8, used=2, length=_PROBE_FROM * 256 + 7, seed=0)
-    @example(s=4, n=4, used=3, length=_PROBE_FROM * 256 + 3, seed=1)
-    @example(s=2, n=9, used=2, length=3000, seed=2)
-    @example(s=1, n=8, used=1, length=5, seed=0)
+    @example(s=2, n=8, used=2, length=_BATCH + 1, seed=0, batch=_BATCH)
+    @example(s=5, n=2, used=3, length=2 * _BATCH + 3, seed=1, batch=_BATCH)
+    @example(s=2, n=9, used=2, length=3000, seed=2, batch=_BATCH)
+    @example(s=1, n=8, used=1, length=5, seed=0, batch=_BATCH)
     @given(
         s=st.integers(1, 10),
         n=st.integers(1, 12),
         used=st.integers(1, 10),
         length=st.one_of(st.integers(0, 16), st.integers(0, 1200)),
         seed=st.integers(0, 2**32),
+        batch=st.sampled_from([1, 2, 3, 7, 64, _BATCH]),
     )
-    def test_agrees_with_slices(self, s, n, used, length, seed):
+    def test_agrees_with_slices(self, s, n, used, length, seed, batch):
         # words over the first `used` letters miss most codes, as valid words do
         rng = random.Random(seed)
         text = "".join(rng.choices(LETTERS[: min(used, s)], k=length))
         want = frozenset(text[i : i + n] for i in range(len(text) - n + 1))
-        assert factors(Word(text, s), n) == want
+        with mock.patch.object(words_module, "_BATCH", batch):
+            assert factors(Word(text, s), n) == want
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -279,12 +282,39 @@ class TestFactors:
         n=st.integers(1, 9),
         lengths=st.lists(st.integers(0, 12), max_size=8),
         seed=st.integers(0, 2**32),
+        batch=st.sampled_from([1, 5, 16, _BATCH]),
     )
-    def test_windows_never_straddle_two_texts(self, s, n, lengths, seed):
+    def test_windows_never_straddle_two_texts(self, s, n, lengths, seed, batch):
         rng = random.Random(seed)
         texts = ["".join(rng.choices(LETTERS[:s], k=m)) for m in lengths]
         want = frozenset(x[i : i + n] for x in texts for i in range(len(x) - n + 1))
-        assert _windows(texts, n, s) == want
+        with mock.patch.object(words_module, "_BATCH", batch):
+            assert _windows(iter(texts), n, s) == want
+
+    def test_each_window_across_a_piece_cut_counts(self):
+        # a lone 1 in a zero word of more than _BATCH symbols: each window
+        # holding it occurs once, also where the word is cut into pieces
+        for n in (2, 5):
+            for p in (_BATCH - n, _BATCH - 1, _BATCH, _BATCH + n - 1, 2 * _BATCH):
+                text = "0" * p + "1" + "0" * (_BATCH + 3 - n)
+                want = {text[i : i + n] for i in range(len(text) - n + 1)}
+                assert factors(Word(text, 2), n) == want, (n, p)
+
+    def test_codes_at_most_two_batches_at_once(self):
+        # what one coding holds stays bounded, however many or long the texts
+        sizes = []
+
+        def recording(texts, n, s):
+            sizes.append(sum(map(len, texts)))
+            return batch_codes(texts, n, s)
+
+        batch_codes = words_module._batch_codes
+        texts = ["0120", "1", "0210" * 30, "012"] * 20
+        with mock.patch.object(words_module, "_BATCH", 8), \
+                mock.patch.object(words_module, "_batch_codes", recording):
+            got = _windows(iter(texts), 3, 3)
+        assert got == {x[i : i + 3] for x in texts for i in range(len(x) - 2)}
+        assert len(sizes) > 20 and max(sizes) < 2 * 8 + 3
 
     def test_factor_set_rejects_mixed_lengths(self):
         with pytest.raises(ValueError):
