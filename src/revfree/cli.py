@@ -27,12 +27,12 @@ from .morphisms import (
     squarefree_morphism_test,
     squarefree_words_universe,
 )
-from .search import (
-    Finite,
-    enumerate_valid,
+from .search import Finite, enumerate_valid, max_valid_length
+from .verification import (
+    K5_PERIOD,
     match_ultimately_periodic,
-    max_valid_length,
     rotation_family,
+    run_verification,
 )
 from .words import (
     BUILTIN_NAMES,
@@ -202,7 +202,7 @@ def cmd_morphic_squarefree_test(args: argparse.Namespace) -> Result:
 
 def cmd_match_periodic(args: argparse.Namespace) -> Result:
     prefix = Word.parse(args.word, 2)
-    match = match_ultimately_periodic(prefix, rotation_family(Word.parse("001011", 2)))
+    match = match_ultimately_periodic(prefix, rotation_family(K5_PERIOD))
     preamble, period = (None, None) if match is None else (str(match[0]), str(match[1]))
     payload = {
         "word": str(prefix),
@@ -215,8 +215,6 @@ def cmd_match_periodic(args: argparse.Namespace) -> Result:
 
 
 def cmd_verify_paper(args: argparse.Namespace) -> Result:
-    from .verification import run_verification
-
     report = run_verification()
     lines = [f"{r.id} {r.status} — {r.claim}" for r in report.results]
     return report.to_dict(), lines, 0 if report.all_passed else 1

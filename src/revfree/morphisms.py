@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .avoidance import AvoidanceQuery
 from .search import _next_level
-from .words import LETTERS, FactorSet, Word, _windows, alphabet, is_squarefree
+from .words import LETTERS, Word, _windows, alphabet, is_squarefree
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,25 @@ def apply(h: Morphism, w: Word) -> Word:
     if w.text.strip(LETTERS[: h.domain_size]):
         raise ValueError(f"{w} has a symbol outside morphism domain of size {h.domain_size}")
     return Word(w.text.translate(h.table), h.codomain_size)
+
+
+@dataclass(frozen=True)
+class FactorSet:
+    """A preimage universe for `image_factor_set`: distinct words sharing one
+    common length, held as `Word`s because the benchmark's tracer reads their
+    `symbols`.  Window sets are frozensets of digit strings."""
+
+    length: int
+    members: frozenset[Word]
+
+    def __post_init__(self) -> None:
+        if self.length < 1:
+            raise ValueError("factor length must be at least 1")
+        for m in self.members:
+            if len(m) != self.length:
+                raise ValueError(f"member {m} does not have length {self.length}")
+        if len({m.alphabet_size for m in self.members}) > 1:
+            raise ValueError("members must share one alphabet")
 
 
 # The most words, and the longest word, a universe may hold: a larger one is

@@ -6,10 +6,7 @@ more symbol iff the reversal of its new length-k window does not occur in it
 and, for squarefree queries, no square ends at the new symbol.  A word in the
 search is its own digit string reversed, so that the newest window and the
 squares ending at the newest symbol are prefixes, and one more reversal gives
-the result's digit string.  `words.starts_with_square` finds such a square:
-one bounded regex match for halves up to 31, and blocks found by `str.find`
-for longer ones, not one regex step per half (5-10 us against 16-25 us at
-801 symbols, Intel Xeon, Python 3.11).
+the result's digit string.  `words.starts_with_square` finds such a square.
 
 Two strategies serve the searches.  `enumerate_valid` and
 `forced_extension_check` step one length at a time through `_next_level`,
@@ -43,16 +40,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .avoidance import AvoidanceQuery
-from .words import (
-    Periodic,
-    Word,
-    alphabet,
-    complement,
-    cyclic_shifts,
-    starts_with_square,
-    stream_prefix,
-)
+from .avoidance import AvoidanceQuery, is_valid
+from .words import Word, alphabet, starts_with_square
 
 
 @dataclass(frozen=True)
@@ -74,13 +63,6 @@ class ExceedsCap:
 
 
 SearchOutcome = Finite | ExceedsCap
-
-STANDARD_PREAMBLES = tuple(Word.parse(t, 2) for t in ("", "0", "1", "00", "11"))
-
-
-def rotation_family(z: Word) -> frozenset[Word]:
-    """All cyclic shifts of a binary word and of its complement."""
-    return cyclic_shifts(z) | cyclic_shifts(complement(z))
 
 
 def _next_level(level: list[str], letters: str, q: AvoidanceQuery) -> list[str]:
@@ -280,73 +262,11 @@ def forced_extension_check(
         raise ValueError("steps must be nonnegative")
     if seed.alphabet_size != s:
         raise ValueError("seed alphabet does not match the search alphabet")
-    level = [""]
-    for c in seed.text:
-        level = _next_level(level, c, q)
-        if not level:
-            raise ValueError("seed is not valid")
+    if not is_valid(seed, q):
+        raise ValueError("seed is not valid")
+    level = [seed.text[::-1]]
     for _ in range(steps):
         level = _next_level(level, letters, q)
         if len(level) != 1:
             return None
     return Word(level[0][::-1], s)
-
-
-@dataclass(frozen=True)
-class CharacterizationReport:
-    fact1_holds: bool
-    fact2_holds: bool
-    valid_count_len9: int
-    exceptions: tuple[str, ...]  # digit strings of the words breaking a fact
-
-
-def characterization_facts(b: frozenset[Word] | set[Word]) -> CharacterizationReport:
-    """The two finite facts underlying the ultimate-periodicity result for
-    binary words valid at k=5.
-
-    Fact 1: every valid word of length 9 starts with y'y for some preamble y'
-    in {eps, 0, 1, 00, 11} and y in b.  Fact 2: every valid word of length 15
-    starting with some y in b repeats y immediately after it.
-    """
-    b = frozenset(b)
-    if not b:
-        raise ValueError("the rotation family must be nonempty")
-    lengths = {len(y) for y in b}
-    if lengths != {6} or any(y.alphabet_size != 2 for y in b):
-        raise ValueError("the rotation family must consist of binary words of length 6")
-    q = AvoidanceQuery(5)
-    periods = {y.text for y in b}
-    preambles = [p.text for p in STANDARD_PREAMBLES]
-
-    valid9 = enumerate_valid(2, q, 9)
-    bad9 = [t for t in valid9
-            if not any(t.startswith(p) and t[len(p) : len(p) + 6] in periods for p in preambles)]
-    bad15 = [t for t in enumerate_valid(2, q, 15) if t[:6] in periods and t[6:12] != t[:6]]
-
-    return CharacterizationReport(not bad9, not bad15, len(valid9), tuple(bad9 + bad15))
-
-
-def match_ultimately_periodic(
-    prefix: Word, b: frozenset[Word] | set[Word]
-) -> tuple[Word, Word] | None:
-    """Match the prefix against the family preamble.period^omega with the
-    preamble drawn from STANDARD_PREAMBLES and the period from b.
-
-    Decompositions are not unique (shifting one symbol from the period into
-    the preamble can describe the same stream), so the canonical answer is the
-    match with the shortest preamble, ties broken by lexicographically least
-    period.  None when no family member fits.
-    """
-    if len(prefix) < 15:
-        raise ValueError("need at least 15 symbols to match")
-    # STANDARD_PREAMBLES runs shortest first, then in digit order, so the
-    # first preamble with a match gives the canonical answer
-    text, n = prefix.text, len(prefix)
-    for p in STANDARD_PREAMBLES:
-        # p.y.y... starts with (p.y)[:n], a cheap test that leaves few streams to build
-        periods = [y for y in b if text.startswith((p.text + y.text)[:n])
-                   and stream_prefix(Periodic(p, y), n).text == text]
-        if periods:
-            return p, min(periods)
-    return None
-

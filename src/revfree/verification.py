@@ -3,7 +3,10 @@ avoiding reversed subwords.
 
 Each check recomputes the published object (a factor set, a bound, a marker
 property, ...) from scratch and compares it with the claimed value.  The CLI
-command `verify-paper` is a thin wrapper around `run_verification`.
+command `verify-paper` is a thin wrapper around `run_verification`.  T5's
+periodic family, the rotations of K5_PERIOD and of its complement after one
+of STANDARD_PREAMBLES, is defined here too, with its two finite facts and the
+prefix matcher behind `match-periodic`.
 """
 
 from __future__ import annotations
@@ -21,21 +24,13 @@ from .morphisms import (
     squarefree_morphism_test,
     squarefree_words_universe,
 )
-from .search import (
-    Finite,
-    STANDARD_PREAMBLES,
-    characterization_facts,
-    enumerate_valid,
-    forced_extension_check,
-    match_ultimately_periodic,
-    max_valid_length,
-    rotation_family,
-)
+from .search import Finite, enumerate_valid, forced_extension_check, max_valid_length
 from .words import (
     Builtin,
     MorphicImage,
     Periodic,
     Word,
+    complement,
     cyclic_shifts,
     is_squarefree,
     periodic_factors,
@@ -73,6 +68,77 @@ UNAVOIDABLE_SETS = {
 
 # Maximum valid lengths for binary words, established by exhaustive search.
 BINARY_MAXIMA = {2: 2, 3: 4, 4: 8}
+
+# The period of T4's word and of T5's family, up to rotation and complement.
+K5_PERIOD = Word.parse("001011", 2)
+STANDARD_PREAMBLES = tuple(Word.parse(t, 2) for t in ("", "0", "1", "00", "11"))
+
+
+def rotation_family(z: Word) -> frozenset[Word]:
+    """All cyclic shifts of a binary word and of its complement."""
+    return cyclic_shifts(z) | cyclic_shifts(complement(z))
+
+
+@dataclass(frozen=True)
+class CharacterizationReport:
+    fact1_holds: bool
+    fact2_holds: bool
+    valid_count_len9: int
+    exceptions: tuple[str, ...]  # digit strings of the words breaking a fact
+
+
+def characterization_facts(b: frozenset[Word] | set[Word]) -> CharacterizationReport:
+    """The two finite facts underlying the ultimate-periodicity result for
+    binary words valid at k=5.
+
+    Fact 1: every valid word of length 9 starts with y'y for some preamble y'
+    in {eps, 0, 1, 00, 11} and y in b.  Fact 2: every valid word of length 15
+    starting with some y in b repeats y immediately after it.
+    """
+    b = frozenset(b)
+    if not b:
+        raise ValueError("the rotation family must be nonempty")
+    lengths = {len(y) for y in b}
+    if lengths != {6} or any(y.alphabet_size != 2 for y in b):
+        raise ValueError("the rotation family must consist of binary words of length 6")
+    q = AvoidanceQuery(5)
+    periods = {y.text for y in b}
+    preambles = [p.text for p in STANDARD_PREAMBLES]
+
+    valid9 = enumerate_valid(2, q, 9)
+    bad9 = [t for t in valid9
+            if not any(t.startswith(p) and t[len(p) : len(p) + 6] in periods for p in preambles)]
+    bad15 = [t for t in enumerate_valid(2, q, 15) if t[:6] in periods and t[6:12] != t[:6]]
+
+    return CharacterizationReport(not bad9, not bad15, len(valid9), tuple(bad9 + bad15))
+
+
+def match_ultimately_periodic(
+    prefix: Word, b: frozenset[Word] | set[Word]
+) -> tuple[Word, Word] | None:
+    """Match the prefix against the family preamble.period^omega with the
+    preamble drawn from STANDARD_PREAMBLES and the period from b.
+
+    Decompositions are not unique (shifting one symbol from the period into
+    the preamble can describe the same stream), so the canonical answer is the
+    match with the shortest preamble, ties broken by lexicographically least
+    period.  None when no family member fits; a member that is empty or not
+    binary is refused before any matching.
+    """
+    if any(len(y) == 0 or y.alphabet_size != 2 for y in b):
+        raise ValueError("the family must consist of nonempty binary words")
+    if len(prefix) < 15:
+        raise ValueError("need at least 15 symbols to match")
+    # STANDARD_PREAMBLES runs shortest first, then in digit order, so the
+    # first preamble with a match gives the canonical answer
+    text, n = prefix.text, len(prefix)
+    for p in STANDARD_PREAMBLES:
+        # p.y.y... starts with (p.y)[:n], a cheap test that leaves few streams to build
+        periods = [y for y in b if text.startswith((p.text + y.text)[:n])
+                   and stream_prefix(Periodic(p, y), n).text == text]
+        if periods:
+            return p, min(periods)
+    return None
 
 
 @dataclass(frozen=True)
@@ -193,7 +259,7 @@ def check_t3() -> TheoremResult:
 
 def check_t4() -> TheoremResult:
     """(001011)^omega avoids reversed subwords of length >= 5."""
-    spec = Periodic(Word.parse("", 2), Word.parse("001011", 2))
+    spec = Periodic(Word.parse("", 2), K5_PERIOD)
     fs = periodic_factors(spec, 5)
     factors = sorted(fs)
     # Validity passes to subwords, so the 120-symbol prefix is valid iff all
@@ -214,9 +280,8 @@ def check_t5() -> TheoremResult:
     period that is a rotation of 001011 or its complement: the two finite
     facts hold, and every family member is recovered from a 30-symbol
     prefix."""
-    z = Word.parse("001011", 2)
-    b = rotation_family(z)
-    size_ok = len(b) == 12 and len(cyclic_shifts(z)) == 6
+    b = rotation_family(K5_PERIOD)
+    size_ok = len(b) == 12 and len(cyclic_shifts(K5_PERIOD)) == 6
     report = characterization_facts(b)
     match_ok = True
     for preamble in STANDARD_PREAMBLES:

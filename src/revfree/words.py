@@ -88,25 +88,6 @@ class Word:
         return Word(self.text + other.text, self.alphabet_size)
 
 
-@dataclass(frozen=True)
-class FactorSet:
-    """A preimage universe for `morphisms.image_factor_set`: distinct words
-    sharing one common length, held as `Word`s because the benchmark's tracer
-    reads their `symbols`.  Window sets are frozensets of digit strings."""
-
-    length: int
-    members: frozenset[Word]
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("factor length must be at least 1")
-        for m in self.members:
-            if len(m) != self.length:
-                raise ValueError(f"member {m} does not have length {self.length}")
-        if len({m.alphabet_size for m in self.members}) > 1:
-            raise ValueError("members must share one alphabet")
-
-
 class StreamSpec:
     """Finite description of an infinite word: each kind gives its
     `alphabet_size` and `_prefix(n)`, its first n symbols as one digit string."""
@@ -337,10 +318,6 @@ def periodic_factors(spec: Periodic, n: int) -> frozenset[str]:
 
 # Squares xx with |x| <= 31, found by the regex engine in O(31 n) steps.
 _SHORT_SQUARE = re.compile(r"(.{1,31})\1")
-# The word length from which `_short_square_start` scans by XOR: on shorter
-# words one regex search is cheaper (on squarefree words, 18 against 22 us at
-# 64 symbols, 31 against 24 us at 100, Intel Xeon, Python 3.11).
-_XOR_SCAN_FROM = 100
 # Matched at a position, the square starting there with the shortest half.
 # Symbols are digits, so "." matches any of them.
 SHORTEST_SQUARE = re.compile(r"(.+?)\1")
@@ -350,22 +327,19 @@ def _short_square_start(text: str) -> int:
     """Start of the leftmost square with half at most 31 in text, or
     len(text) when it has none: the start `_SHORT_SQUARE.search` reports.
 
-    From _XOR_SCAN_FROM symbols on, each half L is one XOR of big integers:
-    with text[:n - L] and text[L:] read as integers, byte i of their XOR is
-    zero iff text[i] == text[i + L].  So a square of half L starts where L
-    zero bytes do, and bytes.find gives the first such start before the
-    best one so far.  The
-    text goes in segments of doubling width, each with the 61 symbols after
-    it that a square starting in it may reach, so a square near the start
-    costs only the first segment.  At 3,000 symbols this takes about a third
-    of the time of the regex search, which tries every half at every start.
+    Each half L is one XOR of big integers: with text[:n - L] and text[L:]
+    read as integers, byte i of their XOR is zero iff text[i] == text[i + L].
+    So a square of half L starts where L zero bytes do, and bytes.find gives
+    the first such start before the best one so far.  The text goes in
+    segments of doubling width from 100 symbols, each with the 61 symbols
+    after it that a square starting in it may reach, so a square near the
+    start costs only the first segment.  At 3,000 symbols this takes about a
+    third of the time of the regex search, which tries every half at every
+    start.
     """
     n = len(text)
-    if n < _XOR_SCAN_FROM:
-        short = _SHORT_SQUARE.search(text)
-        return n if short is None else short.start()
     data = text.encode()
-    start, width = 0, _XOR_SCAN_FROM
+    start, width = 0, 100
     while start < n:
         segment = data[start : start + width + 61]
         size = len(segment)

@@ -386,6 +386,26 @@ class TestForcedExtension:
     def test_invalid_seed_rejected(self):
         with pytest.raises(ValueError):
             forced_extension_check(2, 2, w("00", 2), 1)
+        # the palindrome 010 ends at symbol 3 of 4, before the seed's last
+        with pytest.raises(ValueError, match="seed is not valid"):
+            forced_extension_check(2, 3, w("0100", 2), 1)
+
+    def test_long_periodic_seed_extends_as_the_level_walk(self):
+        # seeds of 300..305 symbols of (001011)^omega extend as the level
+        # step did when it walked each seed symbol and then every letter
+        spec, q = Periodic(w("", 2), w("001011", 2)), AvoidanceQuery(5)
+        # 303 symbols are forced back to a whole number of periods
+        assert forced_extension_check(2, 5, stream_prefix(spec, 303), 3) == \
+            stream_prefix(spec, 306)
+        for n in range(300, 306):
+            seed = stream_prefix(spec, n)
+            level = [""]
+            for c in seed.text:
+                level = search._next_level(level, c, q)
+            for steps in range(5):
+                expected = Word(level[0][::-1], 2) if len(level) == 1 else None
+                assert forced_extension_check(2, 5, seed, steps) == expected
+                level = search._next_level(level, "01", q) if len(level) == 1 else []
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError, match="steps"):
@@ -458,6 +478,15 @@ class TestMatchUltimatelyPeriodic:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             match_ultimately_periodic(w("00101100101011", 2), B)
+
+    @pytest.mark.parametrize("member", [Word("012", 3), Word("0", 3), Word("", 2)],
+                             ids=["ternary", "ternary-0", "empty"])
+    def test_member_not_a_nonempty_binary_word_rejected(self, member):
+        # refused before any preamble reaches the member, so the error does
+        # not depend on which preamble would have
+        prefix = stream_prefix(Periodic(w("", 2), w("001011", 2)), 24)
+        with pytest.raises(ValueError, match="nonempty binary"):
+            match_ultimately_periodic(prefix, {member})
 
     def test_every_family_member_round_trips(self):
         for preamble in STANDARD_PREAMBLES:

@@ -28,7 +28,6 @@ from revfree import words as words_module
 from revfree.verification import BINARY_TO_TERNARY, TERNARY_TO_FIVE
 from revfree.words import (
     _SHORT_SQUARE,
-    _XOR_SCAN_FROM,
     BUILTIN_NAMES,
     LETTERS,
     MAX_PREFIX,
@@ -628,11 +627,10 @@ def regex_short_square_start(text):
 
 @st.composite
 def t8_texts_with_short_square(draw):
-    """Up to 3,000 symbols of T8's word, on both sides of the length where
-    the XOR scan takes over, with a square of half 1..31 inserted at a
-    random position, and sometimes one symbol changed."""
+    """Up to 200 or 3,000 symbols of T8's word, with a square of half 1..31
+    inserted at a random position, and sometimes one symbol changed."""
     half = draw(st.integers(1, 31))
-    length = draw(st.integers(half, draw(st.sampled_from([2 * _XOR_SCAN_FROM, 3_000]))))
+    length = draw(st.integers(half, draw(st.sampled_from([200, 3_000]))))
     symbols = t8_window(draw(st.integers(0, 80_000)), length)
     symbols = with_square(symbols, draw(st.integers(0, length - half)), half)
     if draw(st.booleans()):
@@ -642,18 +640,26 @@ def t8_texts_with_short_square(draw):
 
 class TestShortSquares:
     """The XOR scan for squares of half up to 31 against the regex search
-    it replaces on long words: the same start on every text."""
+    it replaces: the same start on every text."""
+
+    def test_every_short_ternary_word(self):
+        # the empty word, one symbol, and every square position and half
+        # that fits in 8 symbols
+        for n in range(9):
+            for t in itertools.product("012", repeat=n):
+                text = "".join(t)
+                assert _short_square_start(text) == regex_short_square_start(text), text
 
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(
-        st.integers(1, 5).flatmap(lambda s: st.text(LETTERS[:s], max_size=4 * _XOR_SCAN_FROM)),
+        st.integers(1, 5).flatmap(lambda s: st.text(LETTERS[:s], max_size=400)),
         t8_texts_with_short_square(),
     ))
     def test_matches_regex_oracle(self, text):
         assert _short_square_start(text) == regex_short_square_start(text)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 80_000), st.integers(_XOR_SCAN_FROM, 3_000), st.data())
+    @given(st.integers(0, 80_000), st.integers(32, 3_000), st.data())
     def test_half_32_is_not_short(self, offset, length, data):
         # a square of half 32 in a squarefree word: the short scan must not
         # report it, and the whole test finds it or a square overlapping it
@@ -667,10 +673,10 @@ class TestShortSquares:
             assert half >= 32 and start <= position
 
     def test_square_right_after_a_segment(self):
-        # the scan goes in segments; a square starting at a segment's last
-        # symbol reaches 61 symbols past it
+        # the scan goes in segments of 100, 200, ... symbols; a square
+        # starting at a segment's last symbol reaches 61 symbols past it
         text = T8_PREFIX.text[:5_000]
-        for position in (_XOR_SCAN_FROM - 1, _XOR_SCAN_FROM, 3 * _XOR_SCAN_FROM - 1):
+        for position in (99, 100, 299):
             for half in (1, 30, 31):
                 squared = text[: position + half] + text[position:]
                 start = _short_square_start(squared)
