@@ -6,9 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .avoidance import AvoidanceQuery
-from .search import _next_level
-from .words import LETTERS, Word, _windows, alphabet, is_squarefree
+from .words import LETTERS, Word, _windows, alphabet, is_squarefree, starts_with_square
 
 
 @dataclass(frozen=True)
@@ -140,10 +138,13 @@ def squarefree_words_universe(s: int, m: int) -> FactorSet:
     time so that only squarefree words are built; refused, like
     `all_words_universe`, when s^m exceeds MAX_UNIVERSE."""
     letters = _universe_letters(s, m)
-    q = AvoidanceQuery(m + 1, require_squarefree=True)  # k > m: only the square test applies
-    level = [""]  # reversed words, as `_next_level` keeps them
+    # reversed words, so that a square ending at the new letter starts the word
+    level = [""]
     for _ in range(m):
-        level = _next_level(level, letters, q)
+        # `for ext in [...]` is a plain assignment (CPython 3.9+); a walrus
+        # would make ext a closure cell, which is slower
+        level = [ext for rev in level for c in letters for ext in [c + rev]
+                 if not starts_with_square(ext)]
         if not level:  # no binary word of length 4 is squarefree
             break
     return FactorSet(m, frozenset(Word(rev[::-1], s) for rev in level))

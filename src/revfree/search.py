@@ -8,19 +8,27 @@ search is its own digit string reversed, so that the newest window and the
 squares ending at the newest symbol are prefixes, and one more reversal gives
 the result's digit string.  `words.starts_with_square` finds such a square.
 
-Two strategies serve the searches.  `enumerate_valid` and
-`forced_extension_check` step one length at a time through `_next_level`,
-one list comprehension per level that tests each extension's window by one
-substring search of the extended word: no per-word state and no function
-call per extension, which is what listing every word of a wide level needs.
-The substring search costs O(n) per extension, cheap at the lengths where
-listing every word is affordable and on forced extension's short runs (a
-level of width one).  Binary k=5, where each level holds 17 of the 34 valid
-words, is the exception: length 4,000 takes about 0.5 s (Intel Xeon, Python
-3.11).  `max_valid_length` walks one path to caps of tens of thousands of
-symbols, so its DFS keeps the set of length-k windows on the path and tests
-a push by a palindrome check and one set lookup.  The DFS keeps an explicit
-stack, not recursion, so no interpreter limit bounds its depth.
+Two strategies serve the searches.  `enumerate_valid` steps one length at a
+time through `_next_level`.  Whether a valid word stays valid under a letter
+depends on the new window, which the word's newest k-1 symbols and the letter
+fix, so each level is grouped by state: the number j of letters its words use
+and their newest min(n, k-1) symbols.  A transition table, filled as states
+first appear, gives each state's moves: per letter, the window to look for
+(none before the first) and the next state, and no move for a letter whose
+window is a palindrome.  A word then costs one substring search per move of
+its state, and one concatenation if it survives, in one list comprehension
+per state and move: no per-word state and no function call per extension,
+which is what listing every word of a wide level needs.  Binary k=6 to length
+28 builds 64 windows for its 89,052 substring searches.
+`forced_extension_check` applies the same table to its one word a step.  The
+substring search costs O(n) per word, cheap at the lengths where listing
+every word is affordable and on forced extension's short runs.  Binary k=5,
+where each level holds 17 of the 34 valid words, is the exception: length
+4,000 takes about 0.5 s (Intel Xeon, Python 3.11).  `max_valid_length` walks
+one path to caps of tens of thousands of symbols, so its DFS keeps the set of
+length-k windows on the path and tests a push by a palindrome check and one
+set lookup.  The DFS keeps an explicit stack, not recursion, so no
+interpreter limit bounds its depth.
 
 Validity and squarefreeness do not change when the letters are renamed
 one-to-one, so both strategies extend only one word of each renaming class,
@@ -65,26 +73,69 @@ class ExceedsCap:
 SearchOutcome = Finite | ExceedsCap
 
 
-def _next_level(level: list[str], letters: str, q: AvoidanceQuery) -> list[str]:
-    """Every valid extension, by each of the letters in turn, of a nonempty
-    level of valid words of one length, held as reversed paths.
+State = tuple[int, str]  # (letters used, the newest min(n, k - 1) symbols reversed)
+Move = tuple[str, str | None, State]  # (letter, window to look for, next state)
+
+
+def _moves(state: State, letters: str, k: int) -> list[Move]:
+    """The moves of one state: its row of the transition table.
+
+    A state (j, tail) holds the words of one length that use letters[:j]
+    (any letter when j = s) and whose reversed paths begin with tail, the
+    newest min(n, k - 1) symbols.  Each letter c it may take next, letters[:j]
+    and letters[j] when j < s, makes one move (c, x, next state).  Before
+    the word is k - 1 symbols long x is None: no window is added.  After,
+    x = tail reversed + c is the new length-k window as the word reads it,
+    so its reversal occurs in the word iff x occurs in the reversed path.  A
+    letter whose window is a palindrome matches itself, so it has no move.
+    """
+    j, tail = state
+    row: list[Move] = []
+    for i, c in enumerate(letters[: j + 1]):
+        ext = c + tail
+        if len(ext) < k:
+            row.append((c, None, (j + (i == j), ext)))
+        elif (x := ext[::-1]) != ext:
+            row.append((c, x, (j + (i == j), ext[:-1])))
+    return row
+
+
+def _next_level(
+    groups: dict[State, list[str]], table: dict[State, list[Move]], letters: str,
+    q: AvoidanceQuery,
+) -> dict[State, list[str]]:
+    """Every valid extension of a level of valid words of one length, held as
+    reversed paths grouped by state, grouped by state again.  The table holds
+    the rows of the states stepped so far in this search and gains the rows
+    of new ones.
 
     A valid word stays valid under one more symbol iff the reversal of its
-    new length-k window does not occur in it (a palindrome matches itself)
-    and, for squarefree queries, no square ends at the new symbol.  Extending
-    a sorted level by letters in order keeps it sorted.
+    new length-k window does not occur in it and, for squarefree queries, no
+    square ends at the new symbol.  The window is the state's and the
+    letter's, so each word costs one substring search, and a concatenation
+    if it survives.  A window x that is not a palindrome occurs in c + rev
+    iff it occurs in rev.
     """
-    k = q.k
-    if len(level[0]) + 1 < k:
-        level = [c + rev for rev in level for c in letters]
-    else:
-        # `for ext in [...]` is a plain assignment (CPython 3.9+); a walrus
-        # would make ext a closure cell, which is slower
-        level = [ext for rev in level for c in letters for ext in [c + rev]
-                 if ext[k - 1 :: -1] not in ext]
-    if q.require_squarefree:
-        level = [ext for ext in level if not starts_with_square(ext)]
-    return level
+    squarefree = q.require_squarefree
+    nxt: dict[State, list[str]] = {}
+    for state, level in groups.items():
+        row = table.get(state)
+        if row is None:
+            row = table[state] = _moves(state, letters, q.k)
+        for c, x, after in row:
+            if x is None:
+                exts = [c + rev for rev in level]
+            else:
+                exts = [c + rev for rev in level if x not in rev]
+            if squarefree:
+                exts = [ext for ext in exts if not starts_with_square(ext)]
+            if not exts:
+                continue
+            if after in nxt:
+                nxt[after] += exts
+            else:
+                nxt[after] = exts
+    return nxt
 
 
 # The most words enumerate_valid lists at any length: about 0.9 GiB of them,
@@ -99,30 +150,32 @@ def enumerate_valid(s: int, q: AvoidanceQuery, length: int) -> list[str]:
     Renaming the letters one-to-one maps valid words to valid words and
     squarefree words to squarefree words, and each word has exactly one
     canonical form, whose letters first occur in the order 0, 1, 2 and so
-    on.  So the levels hold only canonical words, grouped by the number j of
-    letters they use, and the rest are listed at the end by applying each
-    one-to-one map of those j letters into the alphabet.  Once the valid
-    words of some length number more than MAX_LISTING, it raises ValueError.
+    on.  So the levels hold only canonical words, grouped by state (see
+    `_moves`), and the rest are listed at the end by applying each
+    one-to-one map of the j letters a word uses into the alphabet.  Once the
+    valid words of some length number more than MAX_LISTING, it raises
+    ValueError.
     """
     letters = alphabet(s)
     if length < 0:
         raise ValueError("length must be nonnegative")
-    groups = {0: [""]}  # j -> the canonical words using letters[:j], reversed
+    weight = [math.perm(s, j) for j in range(s + 1)]  # words per canonical word using j letters
+    table: dict[State, list[Move]] = {}
+    groups: dict[State, list[str]] = {(0, ""): [""]}
     for n in range(1, length + 1):
-        nxt: dict[int, list[str]] = {}
-        for j, level in groups.items():
-            if j:
-                nxt.setdefault(j, []).extend(_next_level(level, letters[:j], q))
-            if j < s:
-                nxt.setdefault(j + 1, []).extend(_next_level(level, letters[j], q))
-        groups = {j: level for j, level in nxt.items() if level}
-        listed = sum(len(level) * math.perm(s, j) for j, level in groups.items())
-        if listed > MAX_LISTING:
-            raise ValueError(f"the {listed} valid words of length {n} exceed "
-                             f"the listing limit of {MAX_LISTING}")
+        groups = _next_level(groups, table, letters, q)
+        # weight[s] bounds every weight, so most levels need no exact count
+        if sum(map(len, groups.values())) * weight[s] > MAX_LISTING:
+            listed = sum(len(level) * weight[j] for (j, _), level in groups.items())
+            if listed > MAX_LISTING:
+                raise ValueError(f"the {listed} valid words of length {n} exceed "
+                                 f"the listing limit of {MAX_LISTING}")
         if not groups:
             break
-    return _relabelings(groups, letters)
+    by_letters: dict[int, list[str]] = {}
+    for (j, _), level in groups.items():
+        by_letters.setdefault(j, []).extend(level)
+    return _relabelings(by_letters, letters)
 
 
 def _relabelings(groups: dict[int, list[str]], letters: str, fixed: int = 0) -> list[str]:
@@ -133,9 +186,10 @@ def _relabelings(groups: dict[int, list[str]], letters: str, fixed: int = 0) -> 
     words: list[str] = []
     for j, level in groups.items():
         a = min(fixed, j)
-        # reversing the joined level turns each reversed path into its word
-        # (and reverses their order, which the sort undoes)
-        joined = "\n".join(level)[::-1]
+        # reversing the joined level turns each reversed path into its word;
+        # sorting them first leaves each renaming a few long sorted runs,
+        # which the final sort merges
+        joined = "\n".join(sorted("\n".join(level)[::-1].split("\n")))
         for image in itertools.permutations(letters[a:], j - a):
             words += joined.translate(str.maketrans(letters[a:j], "".join(image))).split("\n")
     words.sort()
@@ -264,9 +318,18 @@ def forced_extension_check(
         raise ValueError("seed alphabet does not match the search alphabet")
     if not is_valid(seed, q):
         raise ValueError("seed is not valid")
-    level = [seed.text[::-1]]
+    rev = seed.text[::-1]
+    state = (s, rev[: k - 1])  # j = s: every letter may come next
+    table: dict[State, list[Move]] = {}
     for _ in range(steps):
-        level = _next_level(level, letters, q)
-        if len(level) != 1:
+        row = table.get(state)
+        if row is None:
+            row = table[state] = _moves(state, letters, k)
+        # _next_level's test on the one word; its grouping by state would
+        # double the cost of a step (about 1.6 against 0.75 us on T1's
+        # ternary seeds, Intel Xeon, Python 3.11)
+        nexts = [(c + rev, after) for c, x, after in row if x is None or x not in rev]
+        if len(nexts) != 1:
             return None
-    return Word(level[0][::-1], s)
+        ((rev, state),) = nexts
+    return Word(rev[::-1], s)

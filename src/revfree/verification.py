@@ -122,9 +122,11 @@ def match_ultimately_periodic(
     Decompositions are not unique (shifting one symbol from the period into
     the preamble can describe the same stream), so the canonical answer is the
     match with the shortest preamble, ties broken by lexicographically least
-    period.  None when no family member fits; a member that is empty or not
-    binary is refused before any matching.
+    period.  None when no family member fits; a prefix that is not binary,
+    or a member that is empty or not binary, is refused before any matching.
     """
+    if prefix.alphabet_size != 2:
+        raise ValueError("the prefix must be a binary word")
     if any(len(y) == 0 or y.alphabet_size != 2 for y in b):
         raise ValueError("the family must consist of nonempty binary words")
     if len(prefix) < 15:

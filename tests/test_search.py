@@ -26,6 +26,7 @@ from revfree import (
     stream_prefix,
 )
 from revfree import search
+from revfree.verification import K5_PERIOD
 from revfree.words import SHORTEST_SQUARE, alphabet, starts_with_square
 
 
@@ -201,9 +202,9 @@ class TestEnumerateValid:
         # the one whose letters first occur in the order 0, 1, 2, ...
         handed = []
 
-        def recording(level, letters, q):
-            handed.extend(level)
-            return next_level(level, letters, q)
+        def recording(groups, table, letters, q):
+            handed.extend(rev for level in groups.values() for rev in level)
+            return next_level(groups, table, letters, q)
 
         next_level = search._next_level
         monkeypatch.setattr(search, "_next_level", recording)
@@ -235,6 +236,65 @@ class TestEnumerateValid:
             assert sorted(t.translate(table) for t in words) == words
         if s**length <= 5000:
             assert words == naive_enumerate(s, q, length)
+
+
+class TestStateStep:
+    # a state (j, tail): the words use letters[:j] (any letter when j = s)
+    # and their reversed paths begin with tail, the newest min(n, k - 1)
+    # symbols; k = 1 refuses every letter, and k above the length adds no window
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_paths_begin_with_their_tail_and_use_letters_of_j(self, monkeypatch, s):
+        handed = []
+
+        def recording(groups, table, letters, q):
+            handed.extend((state, rev) for state, level in groups.items() for rev in level)
+            return next_level(groups, table, letters, q)
+
+        next_level = search._next_level
+        monkeypatch.setattr(search, "_next_level", recording)
+        letters = "0123"[:s]
+        for k in range(1, 6):
+            for squarefree in (False, True):
+                del handed[:]
+                enumerate_valid(s, AvoidanceQuery(k, squarefree), 7)
+                assert handed
+                for (j, tail), rev in handed:
+                    assert len(tail) == min(len(rev), k - 1)
+                    assert rev.startswith(tail)
+                    assert set(rev) == set(letters[:j])
+
+    def test_forced_extension_asks_each_state_once(self, monkeypatch):
+        # j = s: any letter may come next; the table keeps each state's row
+        asked = []
+
+        def recording(state, letters, k):
+            asked.append(state)
+            return moves(state, letters, k)
+
+        moves = search._moves
+        monkeypatch.setattr(search, "_moves", recording)
+        assert forced_extension_check(3, 2, w("21", 3), 10) == w("210210210210", 3)
+        assert asked == [(3, "1"), (3, "0"), (3, "2")]
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_moves_drop_exactly_the_palindromic_windows(self, s, k):
+        # every tail up to k - 1 symbols, with every j; words read left to
+        # right here, where the step reads them reversed
+        letters = "0123"[:s]
+        for n in range(k):
+            for tail in map("".join, itertools.product(letters, repeat=n)):
+                for j in range(s + 1):
+                    expected = []
+                    for c in letters[: j + 1]:
+                        end = tail[::-1] + c  # the word's last symbols
+                        window = end if len(end) == k else None
+                        if window is not None and window == window[::-1]:
+                            continue
+                        after = j + 1 if j < s and c == letters[j] else j
+                        expected.append((c, window, (after, end[::-1][: k - 1])))
+                    assert search._moves((j, tail), letters, k) == expected
 
 
 class TestMaxValidLength:
@@ -397,15 +457,20 @@ class TestForcedExtension:
         # 303 symbols are forced back to a whole number of periods
         assert forced_extension_check(2, 5, stream_prefix(spec, 303), 3) == \
             stream_prefix(spec, 306)
+        table = {}
         for n in range(300, 306):
             seed = stream_prefix(spec, n)
-            level = [""]
+            # state (2, ""): any letter may come next; each step keeps the
+            # states whose newest symbol is the seed's next one
+            groups = {(2, ""): [""]}
             for c in seed.text:
-                level = search._next_level(level, c, q)
+                groups = search._next_level(groups, table, "01", q)
+                groups = {st: level for st, level in groups.items() if st[1][:1] == c}
             for steps in range(5):
+                level = [rev for revs in groups.values() for rev in revs]
                 expected = Word(level[0][::-1], 2) if len(level) == 1 else None
                 assert forced_extension_check(2, 5, seed, steps) == expected
-                level = search._next_level(level, "01", q) if len(level) == 1 else []
+                groups = search._next_level(groups, table, "01", q) if len(level) == 1 else {}
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError, match="steps"):
@@ -487,6 +552,11 @@ class TestMatchUltimatelyPeriodic:
         prefix = stream_prefix(Periodic(w("", 2), w("001011", 2)), 24)
         with pytest.raises(ValueError, match="nonempty binary"):
             match_ultimately_periodic(prefix, {member})
+
+    def test_prefix_not_binary_rejected(self):
+        # its digits spell (001011)^3, but over three letters
+        with pytest.raises(ValueError, match="prefix must be a binary word"):
+            match_ultimately_periodic(Word("001011001011001011", 3), rotation_family(K5_PERIOD))
 
     def test_every_family_member_round_trips(self):
         for preamble in STANDARD_PREAMBLES:
