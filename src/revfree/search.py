@@ -8,38 +8,35 @@ search is its own digit string reversed, so that the newest window and the
 squares ending at the newest symbol are prefixes, and one more reversal gives
 the result's digit string.  `words.starts_with_square` finds such a square.
 
-Two strategies serve the searches.  `enumerate_valid` steps one length at a
-time through `_next_level`.  Whether a valid word stays valid under a letter
-depends on the new window, which the word's newest k-1 symbols and the letter
-fix, so each level is grouped by state: the number j of letters its words use
-and their newest min(n, k-1) symbols.  A transition table, filled as states
-first appear, gives each state's moves: per letter, the window to look for
-(none before the first) and the next state, and no move for a letter whose
-window is a palindrome.  A word then costs one substring search per move of
-its state, and one concatenation if it survives, in one list comprehension
-per state and move: no per-word state and no function call per extension,
-which is what listing every word of a wide level needs.  Binary k=6 to length
-28 builds 64 windows for its 89,052 substring searches.
-`forced_extension_check` applies the same table to its one word a step.  The
-substring search costs O(n) per word, cheap at the lengths where listing
-every word is affordable and on forced extension's short runs.  Binary k=5,
-where each level holds 17 of the 34 valid words, is the exception: length
-4,000 takes about 0.5 s (Intel Xeon, Python 3.11).  `max_valid_length` walks
-one path to caps of tens of thousands of symbols, so its DFS keeps the set of
-length-k windows on the path and tests a push by a palindrome check and one
-set lookup.  The DFS keeps an explicit stack, not recursion, so no
-interpreter limit bounds its depth.
+The window is fixed by the word's newest k-1 symbols and the letter, so
+`_moves` writes the extension rule once, per state: per letter, the window x
+to look for and the next state, and no move for a letter whose window is a
+palindrome.  Each search fills its own table of rows as states first appear
+and reads it one of three ways.  `enumerate_valid` steps each level, grouped
+by state, through `_next_level`: a word costs one substring search `x in rev`
+per move of its state, in one list comprehension per state and move, with no
+per-word state and no function call per extension, which is what listing
+every word of a wide level needs.  Binary k=6 to length 28 builds 64 windows
+for its 89,052 searches.  A search costs O(n), cheap where listing every word
+is affordable; binary k=5 to length 4,000 (17 canonical words a level) takes
+about 0.5 s (Intel Xeon, Python 3.11).  `max_valid_length` and
+`forced_extension_check` walk one path each, to tens of thousands of
+symbols, so each keeps the set of the reversed path's length-k windows: x
+occurs in the path iff it is one of them, so a move costs one set lookup and
+a push adds the path's new window.  The DFS keeps an explicit stack of row
+iterators, not recursion, so no interpreter limit bounds its depth; forced
+extension keeps its path as a list of letters, so a step costs O(k).
 
 Validity and squarefreeness do not change when the letters are renamed
-one-to-one, so both strategies extend only one word of each renaming class,
-the canonical one, whose letters first occur in the order 0, 1, 2, ....
-`enumerate_valid` lists the others by renaming at the end: a level holds up
-to s! times fewer words.  `max_valid_length` reports what a DFS over every
-word would: its survivor is canonical, its witnesses are renamed at the end,
-and each canonical word it visits counts as the number of words it stands
-for in that DFS's tree (4-letter squarefree words at k=2: 2,945 nodes from
-125 words walked, in 0.4 ms against 8 ms over every word, Intel Xeon,
-Python 3.11).
+one-to-one, so `enumerate_valid` and `max_valid_length` extend only one word
+of each renaming class, the canonical one, whose letters first occur in the
+order 0, 1, 2, ....  `enumerate_valid` lists the others by renaming at the
+end: a level holds up to s! times fewer words.  `max_valid_length` reports
+what a DFS over every word would: its survivor is canonical, its witnesses
+are renamed at the end, and each canonical word it visits counts as the
+number of words it stands for in that DFS's tree (4-letter squarefree words
+at k=2: 2,945 nodes from 125 words walked, in 0.3 ms against 8 ms over every
+word, Intel Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -107,22 +104,16 @@ def _next_level(
     """Every valid extension of a level of valid words of one length, held as
     reversed paths grouped by state, grouped by state again.  The table holds
     the rows of the states stepped so far in this search and gains the rows
-    of new ones.
-
-    A valid word stays valid under one more symbol iff the reversal of its
-    new length-k window does not occur in it and, for squarefree queries, no
-    square ends at the new symbol.  The window is the state's and the
-    letter's, so each word costs one substring search, and a concatenation
-    if it survives.  A window x that is not a palindrome occurs in c + rev
-    iff it occurs in rev.
+    of new ones.  A window x that is not a palindrome occurs in c + rev iff it
+    occurs in rev, so a word costs one substring search per move of its
+    state, and a concatenation if it survives.
     """
     squarefree = q.require_squarefree
     nxt: dict[State, list[str]] = {}
     for state, level in groups.items():
-        row = table.get(state)
-        if row is None:
-            row = table[state] = _moves(state, letters, q.k)
-        for c, x, after in row:
+        if state not in table:
+            table[state] = _moves(state, letters, q.k)
+        for c, x, after in table[state]:
             if x is None:
                 exts = [c + rev for rev in level]
             else:
@@ -216,17 +207,18 @@ def max_valid_length(
     otherwise.  nodes_explored counts the root and each valid word that a
     preorder DFS over all words, trying the letters in order, visits.
 
-    The DFS walks only canonical words (see enumerate_valid), extending a
-    word that uses j letters by letters[:j] and, when j < s, by letters[j];
-    the answer and the count stay those of the DFS over all words.  The
-    lexicographically first survivor is canonical, so both end at the same
-    word.  Every sibling left of the path to it uses only letters the path
-    already uses, so every subtree finished before it hangs off that path.
-    A canonical word whose deepest ancestor a on the path uses j_a letters,
-    and which uses j_x, stands for perm(s - j_a, j_x - j_a) words below a:
-    one per one-to-one map of its new letters into the ones a leaves unused.
-    When the tree dies, a is the root, and the witnesses are the canonical
-    ones renamed by every one-to-one map of their letters.
+    The DFS keeps per depth an iterator over the row of the word's state (see
+    `_moves`) and a push takes its next move, so it walks only canonical words
+    (see enumerate_valid), extending a word that uses j letters by letters[:j]
+    and, when j < s, by letters[j]; the answer and the count stay those of the
+    DFS over all words.  The lexicographically first survivor is canonical, so
+    both end at the same word.  Every sibling left of the path to it uses only
+    letters the path already uses, so every subtree finished before it hangs
+    off that path.  A canonical word whose deepest ancestor a on the path uses
+    j_a letters, and which uses j_x, stands for perm(s - j_a, j_x - j_a) words
+    below a: one per one-to-one map of its new letters into the ones a leaves
+    unused.  When the tree dies, a is the root, and the witnesses are the
+    canonical ones renamed by every one-to-one map of their letters.
 
     fix_first_symbol reports only the words under the root's child 0: a is
     that child, and the witnesses are renamed only by maps that fix 0.  An
@@ -238,10 +230,11 @@ def max_valid_length(
         raise ValueError("cap must be at least 1")
     k, squarefree = q.k, q.require_squarefree
     weight = [math.perm(s, j) for j in range(s + 1)]  # words per canonical word using j letters
+    table: dict[State, list[Move]] = {}  # the root's state (0, "") never recurs
     rev = ""  # the path's digits, reversed
-    windows: set[str] = set()  # the length-k windows on the path
+    windows: set[str] = set()  # the length-k windows of rev
     added: list[str | None] = [None]  # per depth: the window its symbol added
-    nexts = [0]  # per depth: the next symbol to try
+    rows = [iter(_moves((0, ""), letters, k))]  # per depth: the moves left to try
     # per number j of letters on the path: the depth of the first word on it
     # that uses j letters, and the weight counted before that word
     depths, starts = [0], [0]
@@ -250,10 +243,10 @@ def max_valid_length(
     total = 1  # the weight counted: weight[j] per canonical word using j letters
     best_len = 0
     witnesses = [""]  # reversed paths, made into words at the end
-    while nexts:
-        c = nexts[-1]
-        if c > j or c == s:
-            nexts.pop()
+    while rows:
+        move = next(rows[-1], None)
+        if move is None:
+            rows.pop()
             d -= 1
             if depths[-1] == d:
                 depths.pop()
@@ -264,19 +257,13 @@ def max_valid_length(
                 windows.remove(window)
             rev = rev[1:]
             continue
-        nexts[-1] = c + 1
-        ext = letters[c] + rev
-        window = None
-        if d >= k:
-            reversal = ext[:k]
-            window = reversal[::-1]
-            if window == reversal or reversal in windows:
-                continue
-            if window in windows:
-                window = None
+        c, x, after = move
+        if x in windows:
+            continue
+        ext = c + rev
         if squarefree and starts_with_square(ext):
             continue
-        if c == j:
+        if after[0] > j:
             j += 1
             depths.append(d)
             starts.append(total)
@@ -288,11 +275,16 @@ def max_valid_length(
             witnesses = [ext]
         elif d == best_len:
             witnesses.append(ext)
-        if window is not None:
+        window = None if x is None else ext[:k]  # rev's new window
+        if window in windows:
+            window = None  # a repeat: it stays on the path when this symbol goes
+        elif window is not None:
             windows.add(window)
         added.append(window)
+        if after not in table:
+            table[after] = _moves(after, letters, k)
+        rows.append(iter(table[after]))
         rev = ext
-        nexts.append(0)
         d += 1
     groups: dict[int, list[str]] = {}
     for rev in witnesses:
@@ -309,7 +301,11 @@ def forced_extension_check(
     s: int, k: int, seed: Word, steps: int
 ) -> Word | None:
     """Extend the seed one symbol at a time while exactly one symbol keeps the
-    word valid; None as soon as a branch point or dead end occurs."""
+    word valid; None as soon as a branch point or dead end occurs.
+
+    A step keeps the moves of the path's state (j = s: any letter may come
+    next) whose window is not in the set of the reversed path's windows,
+    seeded once from the seed, so it costs O(k) however long the path."""
     letters = alphabet(s)
     q = AvoidanceQuery(k)
     if steps < 0:
@@ -318,18 +314,20 @@ def forced_extension_check(
         raise ValueError("seed alphabet does not match the search alphabet")
     if not is_valid(seed, q):
         raise ValueError("seed is not valid")
+    path = list(seed.text)
     rev = seed.text[::-1]
+    windows = {rev[i : i + k] for i in range(len(rev) - k + 1)}  # the length-k windows of rev
     state = (s, rev[: k - 1])  # j = s: every letter may come next
     table: dict[State, list[Move]] = {}
     for _ in range(steps):
-        row = table.get(state)
-        if row is None:
-            row = table[state] = _moves(state, letters, k)
-        # _next_level's test on the one word; its grouping by state would
-        # double the cost of a step (about 1.6 against 0.75 us on T1's
-        # ternary seeds, Intel Xeon, Python 3.11)
-        nexts = [(c + rev, after) for c, x, after in row if x is None or x not in rev]
-        if len(nexts) != 1:
+        if state not in table:
+            table[state] = _moves(state, letters, k)
+        moves = [move for move in table[state] if move[1] not in windows]
+        if len(moves) != 1:
             return None
-        ((rev, state),) = nexts
-    return Word(rev[::-1], s)
+        ((c, x, after),) = moves
+        if x is not None:
+            windows.add(c + state[1])
+        path.append(c)
+        state = after
+    return Word("".join(path), s)

@@ -277,6 +277,32 @@ class TestStateStep:
         assert forced_extension_check(3, 2, w("21", 3), 10) == w("210210210210", 3)
         assert asked == [(3, "1"), (3, "0"), (3, "2")]
 
+    @pytest.mark.parametrize("s, q, cap, nodes, states", [
+        (4, AvoidanceQuery(2, True), 64, 2945, 10), (2, AvoidanceQuery(5), 300, 350, 13),
+    ])
+    def test_max_valid_length_asks_each_state_once(self, monkeypatch, s, q, cap, nodes, states):
+        # the DFS pushes through the table's rows: each state's row is asked
+        # for once per search, the root's first
+        asked = []
+
+        def recording(state, letters, k):
+            asked.append(state)
+            return moves(state, letters, k)
+
+        moves = search._moves
+        monkeypatch.setattr(search, "_moves", recording)
+        outcome = max_valid_length(s, q, cap)
+        assert outcome.nodes_explored == nodes
+        assert asked[0] == (0, "")
+        assert len(asked) == len(set(asked)) == states
+        if isinstance(outcome, Finite):
+            # the whole tree is walked: one state per canonical valid word
+            canonical = [t for n in range(1, outcome.max_length + 1)
+                         for t in enumerate_valid(s, q, n)
+                         if "".join(dict.fromkeys(t)) == "0123"[: len(set(t))]]
+            assert set(asked) == {(0, "")} | {
+                (len(set(t)), t[::-1][: q.k - 1]) for t in canonical}
+
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_moves_drop_exactly_the_palindromic_windows(self, s, k):
@@ -430,9 +456,12 @@ def test_alphabet_size_checked_before_search(s):
 
 
 class TestForcedExtension:
-    def test_ternary_determinism(self):
-        got = forced_extension_check(3, 2, w("01", 3), 10)
-        assert got == w("012012012012", 3)
+    # 20,000 steps guard the linear walk: one substring search of the whole
+    # path per step would make it quadratic, about 0.5 s here
+    @pytest.mark.parametrize("steps", [10, 20000])
+    def test_ternary_determinism(self, steps):
+        got = forced_extension_check(3, 2, w("01", 3), steps)
+        assert got == Word(("012" * steps)[: steps + 2], 3)
 
     def test_binary_branch_point(self):
         # after 00101100 both 001011000 and 001011001 are valid, so the
