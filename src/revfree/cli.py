@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -328,10 +329,18 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if lines is None or getattr(args, "json", False):
-        print(json.dumps({"version": __version__, **payload}))
-    elif lines:
-        print("\n".join(lines))
+    try:
+        if lines is None or getattr(args, "json", False):
+            print(json.dumps({"version": __version__, **payload}))
+        elif lines:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early, having read all it wanted: the
+        # command's own code stands, and the flush at exit writes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -1,13 +1,17 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import revfree
 from revfree import Word, __version__
 from revfree.cli import main
 
@@ -159,6 +163,22 @@ class TestEnumerate:
         assert code == 0
         assert json.loads(out)["count"] == 4112
         assert built == 0
+
+    def test_reader_closing_the_pipe_early(self):
+        # 903,176 bytes of words, far more than a pipe buffers: the reader
+        # takes 10 and closes its end while the listing is still written
+        src = Path(revfree.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        with subprocess.Popen(
+            [sys.executable, "-m", "revfree.cli", "enumerate", "-s", "2", "-k", "6",
+             "--length", "28"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert proc.stdout.read(10) == b"0000010011"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert stderr == b""
 
 
 class TestMorphic:

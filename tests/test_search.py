@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from revfree import (
     AvoidanceQuery,
+    Builtin,
     ExceedsCap,
     Finite,
     Periodic,
@@ -27,7 +28,7 @@ from revfree import (
 )
 from revfree import search
 from revfree.verification import K5_PERIOD
-from revfree.words import SHORTEST_SQUARE, alphabet, starts_with_square
+from revfree.words import SHORT_SQUARE, SHORTEST_SQUARE, alphabet, starts_with_long_square
 
 
 def w(text, s):
@@ -197,6 +198,17 @@ class TestEnumerateValid:
                 bisect_right(level, x[:n]) for n, level in enumerate(levels)
             )
 
+    def test_squarefree_levels_past_64_symbols(self):
+        # from 64 symbols on the level step adds the long-half square test:
+        # at length 66 it drops 198 words whose only square has a half of
+        # 32 or more; each listed word is checked whole, and every valid
+        # one-letter extension of the level below is listed
+        q = AvoidanceQuery(6, True)
+        below, level = enumerate_valid(3, q, 65), enumerate_valid(3, q, 66)
+        assert len(level) == 3780
+        assert level == sorted(
+            t + c for t in below for c in "012" if is_valid(Word(t + c, 3), q))
+
     def test_levels_hold_only_canonical_words(self, monkeypatch):
         # the level pass extends one word per alphabet-permutation orbit:
         # the one whose letters first occur in the order 0, 1, 2, ...
@@ -264,6 +276,19 @@ class TestStateStep:
                     assert rev.startswith(tail)
                     assert set(rev) == set(letters[:j])
 
+    @pytest.mark.parametrize("half", [32, 33])
+    def test_level_step_drops_long_squares_from_64_symbols(self, half):
+        # x[0] + rev is the square xx, of 64 or 66 symbols, with no shorter
+        # half: the first lengths where the step runs the long-half test
+        x = stream_prefix(Builtin("thue-squarefree-ternary"), half).text
+        rev = x[1:] + x
+        assert len(SHORTEST_SQUARE.match(x[0] + rev).group(1)) == half
+        q = AvoidanceQuery(len(rev) + 2, True)  # no window yet: only squares drop words
+        nxt = search._next_level({(3, rev): [rev]}, {}, "012", q)
+        kept = sorted(ext for level in nxt.values() for ext in level)
+        assert kept == [c + rev for c in "012" if not SHORTEST_SQUARE.match(c + rev)]
+        assert x[0] + rev not in kept
+
     def test_forced_extension_asks_each_state_once(self, monkeypatch):
         # j = s: any letter may come next; the table keeps each state's row
         asked = []
@@ -319,7 +344,8 @@ class TestStateStep:
                         if window is not None and window == window[::-1]:
                             continue
                         after = j + 1 if j < s and c == letters[j] else j
-                        expected.append((c, window, (after, end[::-1][: k - 1])))
+                        added = None if window is None else end[::-1]
+                        expected.append((c, window, added, (after, end[::-1][: k - 1])))
                     assert search._moves((j, tail), letters, k) == expected
 
 
@@ -385,9 +411,10 @@ class TestMaxValidLength:
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
     def test_agrees_with_plain_dfs(self, s):
         # past the levels' reach; caps 63, 64 and 65 straddle 64 symbols,
-        # where `starts_with_square` first finds blocks for halves from 32
+        # where the long-half square test first runs, and caps 127, 128 and
+        # 129 straddle 128, where its 64-symbol block first finds two halves
         for k, squarefree, cap, fix_first in itertools.product(
-            range(1, 8), (False, True), (63, 64, 65, 129, 300), (False, True)
+            range(1, 8), (False, True), (63, 64, 65, 127, 128, 129, 300), (False, True)
         ):
             q = AvoidanceQuery(k, squarefree)
             expected = plain_max_valid_length(s, q, cap, fix_first)
@@ -396,17 +423,28 @@ class TestMaxValidLength:
     def test_extends_only_canonical_paths(self, monkeypatch):
         # the DFS walks one word per alphabet-permutation orbit: each path
         # it hands the square test has letters first occurring in the order
-        # 0, 1, 2, ..., below depth 64 and from there on
-        tested = []
+        # 0, 1, 2, ..., below depth 64 and from there on; the test is the
+        # short-half regex on every path, and the long-half test from 64
+        # symbols on
+        tested, tested_long = [], []
 
-        def recording_starts_with_square(rev):
-            tested.append(rev)
-            return starts_with_square(rev)
+        class RecordingShortSquare:
+            @staticmethod
+            def match(rev, *bounds):
+                tested.append(rev)
+                return SHORT_SQUARE.match(rev, *bounds)
 
-        monkeypatch.setattr(search, "starts_with_square", recording_starts_with_square)
+        def recording_starts_with_long_square(rev):
+            tested_long.append(rev)
+            return starts_with_long_square(rev)
+
+        monkeypatch.setattr(search, "SHORT_SQUARE", RecordingShortSquare)
+        monkeypatch.setattr(search, "starts_with_long_square", recording_starts_with_long_square)
         assert max_valid_length(4, AvoidanceQuery(2, True), 64).nodes_explored == 2945
         assert isinstance(max_valid_length(5, AvoidanceQuery(2, True), 300), ExceedsCap)
         assert min(map(len, tested)) < 64 <= max(map(len, tested))
+        assert tested_long and min(map(len, tested_long)) == 64
+        assert set(tested_long) <= set(tested)
         for rev in tested:
             first_seen = "".join(dict.fromkeys(rev[::-1]))
             assert first_seen == "01234"[: len(first_seen)]
@@ -429,6 +467,33 @@ class TestMaxValidLength:
         assert isinstance(outcome, ExceedsCap)
         assert outcome.nodes_explored == nodes
         assert is_valid(outcome.sample_survivor, q)
+
+    def test_binary_k5_deep_path_pinned(self):
+        # 20,000 symbols deep: the path is linked (letter, parent) pairs, so
+        # a push copies nothing, and the survivor is unwound once at the end
+        q = AvoidanceQuery(5)
+        outcome = max_valid_length(2, q, 20_000)
+        assert outcome == plain_max_valid_length(2, q, 20_000)
+        assert outcome.nodes_explored == 23_333
+        assert is_valid(outcome.sample_survivor, q)
+
+    @pytest.mark.parametrize("s, q, cap, length, count", [
+        (4, AvoidanceQuery(2, True), 64, 20, 24),
+        (3, AvoidanceQuery(4, True), 64, 7, 6),
+        (3, AvoidanceQuery(3, True), 64, 5, 6),
+        (2, AvoidanceQuery(4), 64, 8, 2),
+    ])
+    def test_finite_witnesses_keep_preorder(self, s, q, cap, length, count):
+        # the tree dies with several words at its deepest level: the walk
+        # captures the canonical ones as path nodes and unwinds and renames
+        # them at the end, giving the plain DFS's witnesses in its preorder,
+        # which is lexicographic
+        outcome = max_valid_length(s, q, cap)
+        assert outcome == plain_max_valid_length(s, q, cap)
+        assert (outcome.max_length, len(outcome.witnesses)) == (length, count)
+        texts = [x.text for x in outcome.witnesses]
+        assert texts == sorted(set(texts))
+        assert texts == enumerate_valid(s, q, length)
 
     def test_deep_search_is_not_depth_limited(self):
         q = AvoidanceQuery(5)

@@ -27,16 +27,17 @@ from revfree import (
 from revfree import words as words_module
 from revfree.verification import BINARY_TO_TERNARY, TERNARY_TO_FIVE
 from revfree.words import (
-    _SHORT_SQUARE,
     BUILTIN_NAMES,
     LETTERS,
     MAX_PREFIX,
+    SHORT_SQUARE,
     SHORTEST_SQUARE,
     _BATCH,
     StreamSpec,
     _short_square_start,
     _windows,
     first_square,
+    starts_with_long_square,
     starts_with_square,
 )
 
@@ -621,7 +622,7 @@ class TestLongSquares:
 
 
 def regex_short_square_start(text):
-    found = _SHORT_SQUARE.search(text)
+    found = SHORT_SQUARE.search(text)
     return len(text) if found is None else found.start()
 
 
@@ -667,7 +668,7 @@ class TestShortSquares:
         position = data.draw(st.integers(0, length - 32))
         text = "".join(map(str, with_square(symbols, position, 32)))
         assert _short_square_start(text) == regex_short_square_start(text)
-        if _SHORT_SQUARE.search(text) is None:
+        if SHORT_SQUARE.search(text) is None:
             assert _short_square_start(text) == len(text)
             start, half = first_square(Word(text, 5))
             assert half >= 32 and start <= position
@@ -737,6 +738,49 @@ class TestStartsWithSquare:
         assert starts_with_square(text)
         spoiled = text[: 2 * half - 1] + "8" + text[2 * half :]
         assert starts_with_square(spoiled) == regex_starts_with_square(spoiled)
+
+    @pytest.mark.parametrize("half", [31, 32, 63, 64, 65, 127, 128])
+    def test_squares_at_the_seams(self, half):
+        # the regex takes halves to 31, the 32-symbol block halves to 63 and
+        # the 64-symbol block the rest; with no symbol after the square, or
+        # one, its half is n // 2, the last one the block find reaches
+        x = T8_PREFIX.text[:half]
+        for after in ("", "0", T8_PREFIX.text[half : half + 40]):
+            text = x + x + after
+            assert len(SHORTEST_SQUARE.match(text).group(1)) == half
+            assert starts_with_square(text)
+            assert starts_with_long_square(text) == (half >= 32)
+            # the second copy's last symbol changed: no square of this half
+            spoiled = x + x[:-1] + "9" + after
+            assert starts_with_square(spoiled) == regex_starts_with_square(spoiled)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+    def test_every_half_at_the_seam_lengths(self, n):
+        # texts of n symbols around the lengths where the long-half test
+        # starts and where the 64-symbol block first finds two halves
+        for half in range(1, n // 2 + 1):
+            x = T8_PREFIX.text[:half]
+            text = (x + x + T8_PREFIX.text[half:])[:n]
+            assert len(text) == n
+            assert starts_with_square(text) and regex_starts_with_square(text)
+            spoiled = text[: 2 * half - 1] + "9" + text[2 * half :]
+            assert starts_with_square(spoiled) == regex_starts_with_square(spoiled)
+        assert starts_with_square(T8_PREFIX.text[:n]) is False
+
+    def test_block_recurs_before_the_square(self):
+        # text[:64] occurs at 65 and 130, where no square starts, and again
+        # at 195, the square's half; with the square's last symbol changed
+        # the same three hits confirm none
+        block = T8_PREFIX.text[:64]
+        x = block + "9" + block + "8" + block + "7"
+        text = x + x + T8_PREFIX.text[:100]
+        hits = [i for i in range(64, len(text) // 2 + 1) if text.startswith(block, i)]
+        assert hits == [65, 130, 195]
+        assert len(SHORTEST_SQUARE.match(text).group(1)) == 195
+        assert starts_with_square(text) and starts_with_long_square(text)
+        spoiled = text[:389] + "6" + text[390:]
+        assert not regex_starts_with_square(spoiled)
+        assert not starts_with_square(spoiled)
 
     @pytest.mark.parametrize(
         "length", [61, 62, 63, 64, 65, 66, 127, 128, 129, 130, 200, 1_000, 5_000]
