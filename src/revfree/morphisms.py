@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .words import LETTERS, Word, _windows, alphabet, is_squarefree, starts_with_square
+from .words import LETTERS, Word, _windows, alphabet, drop_squares, is_squarefree
 
 
 @dataclass(frozen=True)
@@ -141,10 +141,7 @@ def squarefree_words_universe(s: int, m: int) -> FactorSet:
     # reversed words, so that a square ending at the new letter starts the word
     level = [""]
     for _ in range(m):
-        # `for ext in [...]` is a plain assignment (CPython 3.9+); a walrus
-        # would make ext a closure cell, which is slower
-        level = [ext for rev in level for c in letters for ext in [c + rev]
-                 if not starts_with_square(ext)]
+        level = drop_squares([c + rev for rev in level for c in letters])
         if not level:  # no binary word of length 4 is squarefree
             break
     return FactorSet(m, frozenset(Word(rev[::-1], s) for rev in level))

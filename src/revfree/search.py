@@ -6,8 +6,8 @@ more symbol iff the reversal of its new length-k window does not occur in it
 and, for squarefree queries, no square ends at the new symbol.  A word in the
 search is its own digit string reversed, so that the newest window and the
 squares ending at the newest symbol are prefixes, and one more reversal gives
-the result's digit string.  `words.starts_with_square` finds such a square;
-the searches make its two calls inline.
+the result's digit string.  `words.drop_squares` drops the words of a level
+that such a square starts; the DFS makes its two calls inline, once per push.
 
 The window is fixed by the word's newest k-1 symbols and the letter, so
 `_moves` writes the extension rule once, per state: per letter, the window x
@@ -24,16 +24,16 @@ about 0.5 s (Intel Xeon, Python 3.11).  `max_valid_length` and
 `forced_extension_check` walk one path each, to tens of thousands of
 symbols, so each keeps the set of the reversed path's length-k windows: x
 occurs in the path iff it is one of them, so a move costs one set lookup and
-a push adds the path's new window, which the move carries.  The DFS keeps an
-explicit stack of row iterators, not recursion, so no interpreter limit
-bounds its depth, and its path as linked (letter, parent) nodes; forced
-extension keeps its path as a list of letters.  So a push costs O(k) without
-squares: binary k=5 to cap 80,000 takes about 63 ms, against 170 ms with a
-copy of the path per push and pop.  A squarefree DFS also keeps the reversed
-path as one string, for one regex match per push and, from 64 symbols on,
-`words.starts_with_long_square`: ternary k=6 with the first letter fixed
-takes about 1.8 s to cap 40,000, against 3.4 s with one block find per power
-of two (Intel Xeon, Python 3.11).
+a push adds the path's new window, which the move carries.  The DFS keeps
+its path as linked nodes, each with its letter, its parent and its row's
+untried moves, not recursion, so no interpreter limit bounds its depth;
+forced extension keeps its path as a list of letters.  So a push costs O(k)
+without squares: binary k=5 to cap 80,000 takes about 63 ms, against 170 ms
+with a copy of the path per push and pop.  A squarefree DFS also keeps the
+reversed path as one string, for one regex match per push and, from 64
+symbols on, `words.starts_with_long_square`: ternary k=6 with the first
+letter fixed takes about 1.8 s to cap 40,000, against 3.4 s with one block
+find per power of two (Intel Xeon, Python 3.11).
 
 Validity and squarefreeness do not change when the letters are renamed
 one-to-one, so `enumerate_valid` and `max_valid_length` extend only one word
@@ -52,9 +52,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .avoidance import AvoidanceQuery, is_valid
-from .words import SHORT_SQUARE, Word, alphabet, starts_with_long_square
+from .words import SHORT_SQUARE, Word, alphabet, drop_squares, starts_with_long_square
 
 
 @dataclass(frozen=True)
@@ -116,12 +117,10 @@ def _next_level(
     the rows of the states stepped so far in this search and gains the rows
     of new ones.  A window x that is not a palindrome occurs in c + rev iff it
     occurs in rev, so a word costs one substring search per move of its
-    state, and a concatenation if it survives.  A squarefree query then
-    drops the extensions that start with a square: one regex match each,
-    and the long-half test too once they have 64 symbols.
+    state, and a concatenation if it survives; a squarefree query adds one
+    `drop_squares` call per state and move.
     """
     squarefree = q.require_squarefree
-    short_square = SHORT_SQUARE.match
     nxt: dict[State, list[str]] = {}
     for state, level in groups.items():
         if state not in table:
@@ -132,9 +131,7 @@ def _next_level(
             else:
                 exts = [c + rev for rev in level if x not in rev]
             if squarefree:
-                exts = [ext for ext in exts if not short_square(ext, 0, 62)]
-                if len(level[0]) >= 63:
-                    exts = [ext for ext in exts if not starts_with_long_square(ext)]
+                exts = drop_squares(exts)
             if not exts:
                 continue
             if after in nxt:
@@ -147,6 +144,8 @@ def _next_level(
 # The most words enumerate_valid lists at any length: about 0.9 GiB of them,
 # at the 143 MiB that 677,902 binary words of length 40 take.
 MAX_LISTING = 2**22
+# The deepest cap max_valid_length takes: about 1.1 GiB of path, as Nodes.
+MAX_DEPTH = 2**23
 
 
 def enumerate_valid(s: int, q: AvoidanceQuery, length: int) -> list[str]:
@@ -214,8 +213,8 @@ def _plain_count(starts: list[int], total: int, weight: list[int]) -> int:
     return sum((end - start) // weight[j] for j, (start, end) in enumerate(zip(starts, ends)))
 
 
-Node = tuple[str, "Node | None", str | None]  # (letter, parent, window added)
-_ROOT: Node = ("", None, None)
+# (letter, parent, window added, the moves of its row not yet tried)
+Node = tuple[str, "Node | None", str | None, Iterator[Move]]
 
 
 def _unwind(node: Node | None) -> str:
@@ -236,9 +235,10 @@ def max_valid_length(
     otherwise.  nodes_explored counts the root and each valid word that a
     preorder DFS over all words, trying the letters in order, visits.
 
-    The DFS keeps per depth an iterator over the row of the word's state (see
-    `_moves`) and a push takes its next move, so it walks only canonical words
-    (see enumerate_valid), extending a word that uses j letters by letters[:j]
+    Each node of the path holds the untried moves of its state's row (see
+    `_moves`): a push takes the newest node's next one and a pop moves to
+    the node's parent, so the DFS walks only canonical words (see
+    enumerate_valid), extending a word that uses j letters by letters[:j]
     and, when j < s, by letters[j]; the answer and the count stay those of the
     DFS over all words.  The lexicographically first survivor is canonical, so
     both end at the same word.  Every sibling left of the path to it uses only
@@ -252,21 +252,22 @@ def max_valid_length(
     fix_first_symbol reports only the words under the root's child 0: a is
     that child, and the witnesses are renamed only by maps that fix 0.  An
     ExceedsCap outcome is the same either way, since its survivor starts
-    with 0.
+    with 0.  A cap above MAX_DEPTH, which bounds the path's memory, is
+    refused before the walk, even for a tree that would die early.
     """
     letters = alphabet(s)
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    if cap > MAX_DEPTH:
+        raise ValueError(f"a cap of {cap} exceeds the depth limit of {MAX_DEPTH}")
     k, squarefree = q.k, q.require_squarefree
     short_square = SHORT_SQUARE.match
     weight = [math.perm(s, j) for j in range(s + 1)]  # words per canonical word using j letters
     table: dict[State, list[Move]] = {}  # the root's state (0, "") never recurs
-    # the path, newest symbol first: per word (letter, parent, the window its
-    # push added to windows or None), so a push and a pop copy nothing
-    node: Node | None = _ROOT
+    # the path as linked Nodes, newest symbol first: a push and a pop copy nothing
+    node: Node | None = ("", None, None, iter(_moves((0, ""), letters, k)))
     rev = ""  # squarefree queries only: the path's digits, reversed
     windows: set[str] = set()  # the length-k windows of the reversed path
-    rows = [iter(_moves((0, ""), letters, k))]  # per depth: the moves left to try
     # per number j of letters on the path: the depth of the first word on it
     # that uses j letters, and the weight counted before that word
     depths, starts = [0], [0]
@@ -275,10 +276,9 @@ def max_valid_length(
     total = 1  # the weight counted: weight[j] per canonical word using j letters
     best_len = 0
     witnesses = [node]  # path nodes, unwound into words at the end
-    while rows:
-        # the top row's moves, from where the last push left it: a push
-        # breaks out to the new top row, and a row run out pops its word
-        for c, x, window, after in rows[-1]:
+    while node is not None:
+        # a push breaks out to the new node's moves, and moves run out pop it
+        for c, x, window, after in node[3]:
             if x in windows:
                 continue
             if squarefree:
@@ -295,7 +295,9 @@ def max_valid_length(
                 window = None  # a repeat: it stays on the path when this symbol goes
             elif window is not None:
                 windows.add(window)
-            node = (c, node, window)
+            if after not in table:
+                table[after] = _moves(after, letters, k)
+            node = (c, node, window, iter(table[after]))
             if d == cap:
                 survivor = Word(_unwind(node)[::-1], s)
                 return ExceedsCap(cap, survivor, _plain_count(starts, total, weight))
@@ -304,19 +306,15 @@ def max_valid_length(
                 witnesses = [node]
             elif d == best_len:
                 witnesses.append(node)
-            if after not in table:
-                table[after] = _moves(after, letters, k)
-            rows.append(iter(table[after]))
             d += 1
             break
         else:
-            rows.pop()
             d -= 1
             if depths[-1] == d:
                 depths.pop()
                 starts.pop()
                 j -= 1
-            _, node, window = node  # popping the root leaves None: the walk ends
+            _, node, window, _ = node  # popping the root leaves None: the walk ends
             if window is not None:
                 windows.remove(window)
             if squarefree:

@@ -405,22 +405,24 @@ def _leftmost_square_start(text: str) -> int | None:
     return None if best == n else best
 
 
-def starts_with_square(text: str) -> bool:
-    """True iff a square xx starts text: the answer of SHORTEST_SQUARE.match,
-    without its one regex step per candidate half.
+def drop_squares(texts: list[str]) -> list[str]:
+    """The texts, all of one length, that no square xx starts, in order: those
+    SHORTEST_SQUARE.match rejects, without its regex step per candidate half.
 
-    Halves up to 31 go to SHORT_SQUARE on text[:62], and longer ones, once
-    text has 64 symbols, to `starts_with_long_square`.  The searches make
-    the same two calls inline, so a word shorter than 64 symbols costs one
-    regex match and no Python call.  A test that finds no square on the
+    Halves up to 31 go to SHORT_SQUARE on t[:62], and longer ones, once the
+    texts have 64 symbols, to `starts_with_long_square`.  The DFS makes the
+    same two calls inline, so a push below 64 symbols costs one regex match
+    and no Python call.  A test that finds no square on the
     reversed path of the ternary k=6 squarefree search takes about 1 us at
     50 symbols, 4 us at 800, 40 us at 20,000 and 95 us at 40,000, against
     1, 4-7, 45 and 120 us with one block find per power of two (Intel
     Xeon, Python 3.11).
     """
-    return SHORT_SQUARE.match(text, 0, 62) is not None or (
-        len(text) >= 64 and starts_with_long_square(text)
-    )
+    short_square = SHORT_SQUARE.match
+    texts = [t for t in texts if not short_square(t, 0, 62)]
+    if texts and len(texts[0]) >= 64:
+        texts = [t for t in texts if not starts_with_long_square(t)]
+    return texts
 
 
 def starts_with_long_square(text: str) -> bool:

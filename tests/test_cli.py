@@ -375,6 +375,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         "check --word 01 -k 0 -s 2",
         "search -s 2 -k 2 --cap 0",
+        # one past the depth limit: refused before the walk, not OOM-killed
+        "search -s 2 -k 5 --cap 8388609",
         "enumerate -s 2 -k 2 --length -1",
         "factors --word 01 -n 0 -s 2",
         "check --word 01 -k 2 -s 0",

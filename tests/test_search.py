@@ -307,7 +307,9 @@ class TestStateStep:
     ])
     def test_max_valid_length_asks_each_state_once(self, monkeypatch, s, q, cap, nodes, states):
         # the DFS pushes through the table's rows: each state's row is asked
-        # for once per search, the root's first
+        # for once per search, the root's first; a push builds the new node's
+        # row before it checks the cap, so at the cap the survivor's row may
+        # be built once more than the walk needs
         asked = []
 
         def recording(state, letters, k):
@@ -410,11 +412,13 @@ class TestMaxValidLength:
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
     def test_agrees_with_plain_dfs(self, s):
-        # past the levels' reach; caps 63, 64 and 65 straddle 64 symbols,
+        # caps 1 to 12 stop the walk at shallow depths while the nodes above
+        # still hold untried moves; caps 63, 64 and 65 straddle 64 symbols,
         # where the long-half square test first runs, and caps 127, 128 and
         # 129 straddle 128, where its 64-symbol block first finds two halves
+        caps = (*range(1, 13), 63, 64, 65, 127, 128, 129, 300)
         for k, squarefree, cap, fix_first in itertools.product(
-            range(1, 8), (False, True), (63, 64, 65, 127, 128, 129, 300), (False, True)
+            range(1, 8), (False, True), caps, (False, True)
         ):
             q = AvoidanceQuery(k, squarefree)
             expected = plain_max_valid_length(s, q, cap, fix_first)
@@ -505,6 +509,23 @@ class TestMaxValidLength:
     def test_bad_cap(self):
         with pytest.raises(ValueError):
             max_valid_length(2, AvoidanceQuery(2), cap=0)
+
+    def test_cap_above_depth_limit_refused_before_the_walk(self, monkeypatch):
+        # refused before any row is built, even for a tree that dies at 8
+        def no_rows(state, letters, k):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(search, "_moves", no_rows)
+        for q in (AvoidanceQuery(5), AvoidanceQuery(4)):
+            with pytest.raises(ValueError, match="depth limit"):
+                max_valid_length(2, q, cap=search.MAX_DEPTH + 1)
+
+    def test_cap_at_depth_limit_searches(self, monkeypatch):
+        monkeypatch.setattr(search, "MAX_DEPTH", 100)
+        q = AvoidanceQuery(5)
+        assert max_valid_length(2, q, cap=100) == plain_max_valid_length(2, q, 100)
+        with pytest.raises(ValueError):
+            max_valid_length(2, q, cap=101)
 
 
 @pytest.mark.parametrize("s", [0, 11])

@@ -36,9 +36,9 @@ from revfree.words import (
     StreamSpec,
     _short_square_start,
     _windows,
+    drop_squares,
     first_square,
     starts_with_long_square,
-    starts_with_square,
 )
 
 
@@ -688,6 +688,11 @@ def regex_starts_with_square(text):
     return SHORTEST_SQUARE.match(text) is not None
 
 
+def starts_with_square(text):
+    # drop_squares on a level of one text
+    return not drop_squares([text])
+
+
 @st.composite
 def t8_texts_with_leading_square(draw):
     """Up to 2,000 symbols of T8's word, sometimes after a copy of their
@@ -703,8 +708,8 @@ def t8_texts_with_leading_square(draw):
 
 
 class TestStartsWithSquare:
-    """starts_with_square against the one regex match it replaces in the
-    searches: the same answer on every text."""
+    """drop_squares against the one regex match it replaces in the level
+    steps: the same answer on every text."""
 
     @settings(max_examples=1_000, deadline=None)
     @given(st.one_of(
@@ -792,3 +797,22 @@ class TestStartsWithSquare:
         for c in "01234":
             assert starts_with_square(c + rev) == regex_starts_with_square(c + rev)
         assert not starts_with_square(rev)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 128])
+    def test_mixed_level(self, n):
+        # one level of n-symbol texts: squares of half 31, 32 and 64 where
+        # they fit, the same with the square's last symbol changed, and
+        # squarefree texts between them; the filter keeps, in order, the
+        # texts that the regex finds no square at the start of
+        text = T8_PREFIX.text
+        level = []
+        for i, half in enumerate(h for h in (31, 32, 64) if 2 * h <= n):
+            x = text[100 * i : 100 * i + half]
+            squared = (x + x + text[100 * i + half :])[:n]
+            spoiled = squared[: 2 * half - 1] + "9" + squared[2 * half :]
+            level += [squared, text[1_000 * i : 1_000 * i + n], spoiled]
+        assert {len(t) for t in level} == {n}
+        kept = [t for t in level if not SHORTEST_SQUARE.match(t)]
+        assert 0 < len(kept) < len(level)
+        assert drop_squares(level) == kept
+        assert drop_squares([]) == []
