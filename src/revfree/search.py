@@ -30,10 +30,10 @@ untried moves, not recursion, so no interpreter limit bounds its depth;
 forced extension keeps its path as a list of letters.  So a push costs O(k)
 without squares: binary k=5 to cap 80,000 takes about 63 ms, against 170 ms
 with a copy of the path per push and pop.  A squarefree DFS also keeps the
-reversed path as one string, for one regex match per push and, from 64
-symbols on, `words.starts_with_long_square`: ternary k=6 with the first
-letter fixed takes about 1.8 s to cap 40,000, against 3.4 s with one block
-find per power of two (Intel Xeon, Python 3.11).
+reversed path as one string and tests each push with the two calls
+`drop_squares` makes, `SHORT_SQUARE.match` and `starts_with_long_square`;
+`words` alone decides which halves each takes.  Ternary k=6 with the first
+letter fixed takes about 1.9 s to cap 40,000 (Intel Xeon, Python 3.11).
 
 Validity and squarefreeness do not change when the letters are renamed
 one-to-one, so `enumerate_valid` and `max_valid_length` extend only one word
@@ -283,7 +283,7 @@ def max_valid_length(
                 continue
             if squarefree:
                 ext = c + rev
-                if short_square(ext, 0, 62) or d >= 64 and starts_with_long_square(ext):
+                if short_square(ext) or starts_with_long_square(ext):
                     continue
                 rev = ext
             if after[0] > j:

@@ -316,39 +316,37 @@ def periodic_factors(spec: Periodic, n: int) -> frozenset[str]:
     return _windows([prefix], n, spec.alphabet_size)
 
 
-# Squares xx with |x| <= 31: SHORT_SQUARE.match(text, 0, 62) tells whether
-# one starts text, and .search finds the leftmost, in O(31 n) steps.  Lazy,
-# so a match tries the shortest halves, where most squares of a search lie,
-# first.
-SHORT_SQUARE = re.compile(r"(.{1,31}?)\1")
+# Squares xx with |x| <= 63, the halves the short tests take: SHORT_SQUARE.match
+# tells whether one starts a text, reading at most 126 symbols, and .search
+# finds the leftmost, in O(63 n) steps.  Lazy, so a match tries the shortest
+# halves, where most squares of a search lie, first.
+SHORT_SQUARE = re.compile(r"(.{1,63}?)\1")
 # Matched at a position, the square starting there with the shortest half.
 # Symbols are digits, so "." matches any of them.
 SHORTEST_SQUARE = re.compile(r"(.+?)\1")
 
 
 def _short_square_start(text: str) -> int:
-    """Start of the leftmost square with half at most 31 in text, or
+    """Start of the leftmost square with half at most 63 in text, or
     len(text) when it has none: the start `SHORT_SQUARE.search` reports.
 
     Each half L is one XOR of big integers: with text[:n - L] and text[L:]
     read as integers, byte i of their XOR is zero iff text[i] == text[i + L].
     So a square of half L starts where L zero bytes do, and bytes.find gives
     the first such start before the best one so far.  The text goes in
-    segments of doubling width from 100 symbols, each with the 61 symbols
+    segments of doubling width from 100 symbols, each with the 125 symbols
     after it that a square starting in it may reach, so a square near the
-    start costs only the first segment.  At 3,000 symbols this takes about a
-    third of the time of the regex search, which tries every half at every
-    start.
+    start costs only the first segment.
     """
     n = len(text)
     data = text.encode()
     start, width = 0, 100
     while start < n:
-        segment = data[start : start + width + 61]
+        segment = data[start : start + width + 125]
         size = len(segment)
         whole = int.from_bytes(segment, "big")
         best = width  # squares starting past the segment's width go to the next one
-        for half in range(1, min(31, size // 2) + 1):
+        for half in range(1, min(63, size // 2) + 1):
             rest = size - half
             # segment[:rest] XOR segment[half:], as one integer of rest bytes
             diff = (whole >> 8 * half) ^ (whole & ((1 << 8 * rest) - 1))
@@ -365,20 +363,21 @@ def _short_square_start(text: str) -> int:
 def _leftmost_square_start(text: str) -> int | None:
     """Start of the leftmost square in text, or None when it has none.
 
-    Halves up to 31 go to `_short_square_start`.  Longer halves p in [2m, 4m)
-    are found one level at a time, m = 16, 32, 64, ...: a square xx at i
+    Halves up to 63 go to `_short_square_start`.  Longer halves p in [2m, 4m)
+    are found one level at a time, m = 32, 64, 128, ...: a square xx at i
     with such a half holds text[a:q+m] inside its first x, where q is the
     first multiple of m at or after i and a is q, or best - 1 when that is
     smaller (i < best, the leftmost start found so far).  That block
     occurs again at a + p; str.find gives the candidates p, and each is
-    confirmed by how far the match reaches back from a (a binary search
-    over slice equality) and one comparison of the whole square.  No square
-    starts at a < best, so the block has no period up to half its length
-    and occurs at most a few times in the window searched.
+    confirmed by how far the match reaches back from a (one XOR, as in the
+    short scan) and one comparison of the whole square.  No square starts
+    at a < best, so the block has no period up to half its length and
+    occurs at most a few times in the window searched.
     """
     n = len(text)
     best = _short_square_start(text)
-    m = 16
+    data = text.encode()
+    m = 32
     while 4 * m <= n and best > 0:
         for q in range(0, n - 3 * m, m):
             if q - m + 1 >= best:  # the block gives starts in (q - m, q] only
@@ -388,15 +387,14 @@ def _leftmost_square_start(text: str) -> int | None:
             end = a + 4 * m - 1 + len(block)
             j = text.find(block, a + 2 * m, end)
             while j != -1:
-                # lo: the longest b with text[a - b:a] == text[j - b:j] and
-                # a - b > q - m, since earlier starts belong to earlier blocks
-                lo, hi = 0, min(a, a - q + m - 1)
-                while lo < hi:
-                    mid = (lo + hi + 1) // 2
-                    if text[a - mid : a] == text[j - mid : j]:
-                        lo = mid
-                    else:
-                        hi = mid - 1
+                # lo: the longest b <= hi with text[a - b:a] == text[j - b:j],
+                # where hi keeps a - b > q - m, since earlier starts belong to
+                # earlier blocks; the XOR's trailing zero bytes are the
+                # symbols that agree
+                hi = min(a, a - q + m - 1)
+                d = int.from_bytes(data[a - hi : a], "big")
+                d ^= int.from_bytes(data[j - hi : j], "big")
+                lo = ((d & -d).bit_length() - 1) // 8 if d else hi
                 start, half = a - lo, j - a
                 if start < best and text[start : start + half] == text[j - lo : j - lo + half]:
                     best = start
@@ -409,44 +407,34 @@ def drop_squares(texts: list[str]) -> list[str]:
     """The texts, all of one length, that no square xx starts, in order: those
     SHORTEST_SQUARE.match rejects, without its regex step per candidate half.
 
-    Halves up to 31 go to SHORT_SQUARE on t[:62], and longer ones, once the
-    texts have 64 symbols, to `starts_with_long_square`.  The DFS makes the
-    same two calls inline, so a push below 64 symbols costs one regex match
-    and no Python call.  A test that finds no square on the
-    reversed path of the ternary k=6 squarefree search takes about 1 us at
-    50 symbols, 4 us at 800, 40 us at 20,000 and 95 us at 40,000, against
-    1, 4-7, 45 and 120 us with one block find per power of two (Intel
-    Xeon, Python 3.11).
+    Halves up to 63 go to SHORT_SQUARE, and longer ones, once the texts have
+    128 symbols, to `starts_with_long_square`.  The DFS makes the same two
+    calls inline, once per push.  A test that finds no square on the
+    reversed path of the ternary k=6 squarefree search takes about 1.3 us
+    at 50 symbols, 3.5 us at 800, 35 us at 20,000 and 70 us at 40,000
+    (Intel Xeon, Python 3.11).
     """
     short_square = SHORT_SQUARE.match
-    texts = [t for t in texts if not short_square(t, 0, 62)]
-    if texts and len(texts[0]) >= 64:
+    texts = [t for t in texts if not short_square(t)]
+    if texts and len(texts[0]) >= 128:
         texts = [t for t in texts if not starts_with_long_square(t)]
     return texts
 
 
 def starts_with_long_square(text: str) -> bool:
-    """True iff a square xx with |x| >= 32 starts text.
+    """True iff a square xx with |x| >= 64 starts text.
 
-    Such a square puts the block text[:m] at |x|, with m = 32 for halves up
-    to 63 and m = 64 from there to len(text) // 2.  So two str.find calls,
-    each over the starts that keep the block's copy within the first half
-    of the text plus m, give the candidate halves, and one startswith
-    confirms each: a fixed number of Python steps and one C scan of half
-    the text, plus a copy of text[:|x|] per candidate.  On repetitive texts
-    the candidates cost the most: the ternary k=6 search path at 40,000
-    symbols puts 72 copies of its 64-block in the half searched.
+    Such a square puts the block text[:64] at |x|.  So str.find, over the
+    starts that keep the block's copy within the first half of the text
+    plus 64, gives the candidate halves, and one startswith confirms each:
+    a fixed number of Python steps and one C scan of half the text, plus a
+    copy of text[:|x|] per candidate.  On repetitive texts the candidates
+    cost the most: the ternary k=6 search path at 40,000 symbols puts 72
+    copies of its block in the half searched.
     """
-    half = len(text) // 2
-    # the two blocks in turn, written out: a loop over them costs a few
-    # percent of a deep squarefree search
-    block, end = text[:32], (half if half < 63 else 63) + 32
-    j = text.find(block, 32, end)
-    while j != -1:
-        if text.startswith(text[:j], j):
-            return True
-        j = text.find(block, j + 1, end)
-    block, end = text[:64], half + 64
+    if len(text) < 128:  # no such square fits: the DFS's short paths end here
+        return False
+    block, end = text[:64], len(text) // 2 + 64
     j = text.find(block, 64, end)
     while j != -1:
         if text.startswith(text[:j], j):

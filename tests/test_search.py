@@ -428,8 +428,8 @@ class TestMaxValidLength:
         # the DFS walks one word per alphabet-permutation orbit: each path
         # it hands the square test has letters first occurring in the order
         # 0, 1, 2, ..., below depth 64 and from there on; the test is the
-        # short-half regex on every path, and the long-half test from 64
-        # symbols on
+        # short-half regex on every path, and the long-half test on every
+        # path the regex passes
         tested, tested_long = [], []
 
         class RecordingShortSquare:
@@ -447,7 +447,7 @@ class TestMaxValidLength:
         assert max_valid_length(4, AvoidanceQuery(2, True), 64).nodes_explored == 2945
         assert isinstance(max_valid_length(5, AvoidanceQuery(2, True), 300), ExceedsCap)
         assert min(map(len, tested)) < 64 <= max(map(len, tested))
-        assert tested_long and min(map(len, tested_long)) == 64
+        assert tested_long == [rev for rev in tested if not SHORT_SQUARE.match(rev)]
         assert set(tested_long) <= set(tested)
         for rev in tested:
             first_seen = "".join(dict.fromkeys(rev[::-1]))

@@ -547,8 +547,8 @@ class TestSquarefree:
 @st.composite
 def t8_windows_with_square(draw):
     """Up to 300 symbols of T8's word with an inserted square of half up to
-    100, which crosses the level boundaries at halves 31/32 and 63/64, and
-    sometimes one symbol changed."""
+    100, which crosses the split between short and long halves at 63/64,
+    and sometimes one symbol changed."""
     length = draw(st.integers(0, 200))
     symbols = t8_window(draw(st.integers(0, 80_000)), length)
     symbols = with_square(symbols, draw(st.integers(0, length)), draw(st.integers(1, 100)))
@@ -559,7 +559,7 @@ def t8_windows_with_square(draw):
 
 class TestLongSquares:
     """first_square against the regex oracle on words long enough for every
-    level of block sampling (halves 32 and up) to run."""
+    level of block sampling (halves 64 and up) to run."""
 
     def test_t8_windows_with_inserted_square(self):
         rng = random.Random(41)
@@ -621,6 +621,48 @@ class TestLongSquares:
         assert first_square(T8_PREFIX) is None
 
 
+def shortest_square(word):
+    # the regex search tries the starts in order, the shortest half first
+    found = SHORTEST_SQUARE.search(word.text)
+    return None if found is None else (found.start(), len(found.group(1)))
+
+
+class TestShortLongSeam:
+    """first_square where the short tests (halves up to 63) hand over to the
+    64-symbol block levels (halves 64 and up), against the regex search."""
+
+    @pytest.mark.parametrize("half", [62, 63, 64, 65, 126, 127, 128, 129])
+    def test_squares_at_the_scan_segment_borders(self, half):
+        # the XOR scan's segments start at 0, 100, 300, 700, ...; a square
+        # of half 63 at a segment's last symbol ends 125 symbols past it
+        symbols = t8_window(3_210, 1_600)
+        for border in (100, 300, 700):
+            for position in range(border - 2, border + 2):
+                squared = with_square(symbols, position, half)
+                word = of_symbols(squared, 5)
+                found = first_square(word)
+                assert found == shortest_square(word)
+                assert found[0] <= position
+                # the second copy's last symbol changed: no square of this half
+                squared[position + 2 * half - 1] = 9
+                word = of_symbols(squared, 10)
+                assert first_square(word) == shortest_square(word)
+
+    @pytest.mark.parametrize("m, half", [(32, 64), (32, 100), (32, 127), (64, 128),
+                                         (64, 200), (128, 300), (256, 1_000)])
+    def test_square_before_its_aligned_block(self, m, half):
+        # halves in [2m, 4m) are found from the block at the first multiple
+        # q of m at or after the start; the XOR back-extension sets the start
+        # up to m - 1 symbols before q
+        symbols = t8_window(20_000, 4_000)
+        q = 5 * m
+        for back in (0, 1, m // 2, m - 1):
+            word = of_symbols(with_square(symbols, q - back, half), 5)
+            found = first_square(word)
+            assert found == shortest_square(word)
+            assert found[0] <= q - back
+
+
 def regex_short_square_start(text):
     found = SHORT_SQUARE.search(text)
     return len(text) if found is None else found.start()
@@ -640,7 +682,7 @@ def t8_texts_with_short_square(draw):
 
 
 class TestShortSquares:
-    """The XOR scan for squares of half up to 31 against the regex search
+    """The XOR scan for squares of half up to 63 against the regex search
     it replaces: the same start on every text."""
 
     def test_every_short_ternary_word(self):
@@ -746,15 +788,15 @@ class TestStartsWithSquare:
 
     @pytest.mark.parametrize("half", [31, 32, 63, 64, 65, 127, 128])
     def test_squares_at_the_seams(self, half):
-        # the regex takes halves to 31, the 32-symbol block halves to 63 and
-        # the 64-symbol block the rest; with no symbol after the square, or
-        # one, its half is n // 2, the last one the block find reaches
+        # the one split: the regex takes halves to 63 and the 64-symbol
+        # block the rest; with no symbol after the square, or one, its half
+        # is n // 2, the last one the block find reaches
         x = T8_PREFIX.text[:half]
         for after in ("", "0", T8_PREFIX.text[half : half + 40]):
             text = x + x + after
             assert len(SHORTEST_SQUARE.match(text).group(1)) == half
             assert starts_with_square(text)
-            assert starts_with_long_square(text) == (half >= 32)
+            assert starts_with_long_square(text) == (half >= 64)
             # the second copy's last symbol changed: no square of this half
             spoiled = x + x[:-1] + "9" + after
             assert starts_with_square(spoiled) == regex_starts_with_square(spoiled)
