@@ -333,31 +333,20 @@ def _short_square_start(text: str) -> int:
     Each half L is one XOR of big integers: with text[:n - L] and text[L:]
     read as integers, byte i of their XOR is zero iff text[i] == text[i + L].
     So a square of half L starts where L zero bytes do, and bytes.find gives
-    the first such start before the best one so far.  The text goes in
-    segments of doubling width from 100 symbols, each with the 125 symbols
-    after it that a square starting in it may reach, so a square near the
-    start costs only the first segment.
+    the first such start before the best one so far.  One pass reads the
+    whole text, even when a square starts near its beginning.
     """
     n = len(text)
-    data = text.encode()
-    start, width = 0, 100
-    while start < n:
-        segment = data[start : start + width + 125]
-        size = len(segment)
-        whole = int.from_bytes(segment, "big")
-        best = width  # squares starting past the segment's width go to the next one
-        for half in range(1, min(63, size // 2) + 1):
-            rest = size - half
-            # segment[:rest] XOR segment[half:], as one integer of rest bytes
-            diff = (whole >> 8 * half) ^ (whole & ((1 << 8 * rest) - 1))
-            i = diff.to_bytes(rest, "big").find(bytes(half), 0, best - 1 + half)
-            if i != -1:
-                best = i
-        if best < width:
-            return start + best
-        start += width
-        width *= 2
-    return n
+    whole = int.from_bytes(text.encode(), "big")
+    best = n
+    for half in range(1, min(63, n // 2) + 1):
+        rest = n - half
+        # text[:rest] XOR text[half:], as one integer of rest bytes
+        diff = (whole >> 8 * half) ^ (whole & ((1 << 8 * rest) - 1))
+        i = diff.to_bytes(rest, "big").find(bytes(half), 0, best - 1 + half)
+        if i != -1:
+            best = i
+    return best
 
 
 def _leftmost_square_start(text: str) -> int | None:

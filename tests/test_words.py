@@ -632,9 +632,10 @@ class TestShortLongSeam:
     64-symbol block levels (halves 64 and up), against the regex search."""
 
     @pytest.mark.parametrize("half", [62, 63, 64, 65, 126, 127, 128, 129])
-    def test_squares_at_the_scan_segment_borders(self, half):
-        # the XOR scan's segments start at 0, 100, 300, 700, ...; a square
-        # of half 63 at a segment's last symbol ends 125 symbols past it
+    def test_seam_halves_at_fixed_positions(self, half):
+        # squares either side of the split at fixed positions, whole and with
+        # the second copy spoiled: the XOR scan stops each half's find at
+        # best - 1 + half, and the block levels start from that best
         symbols = t8_window(3_210, 1_600)
         for border in (100, 300, 700):
             for position in range(border - 2, border + 2):
@@ -670,9 +671,9 @@ def regex_short_square_start(text):
 
 @st.composite
 def t8_texts_with_short_square(draw):
-    """Up to 200 or 3,000 symbols of T8's word, with a square of half 1..31
+    """Up to 200 or 3,000 symbols of T8's word, with a square of half 1..63
     inserted at a random position, and sometimes one symbol changed."""
-    half = draw(st.integers(1, 31))
+    half = draw(st.integers(1, 63))
     length = draw(st.integers(half, draw(st.sampled_from([200, 3_000]))))
     symbols = t8_window(draw(st.integers(0, 80_000)), length)
     symbols = with_square(symbols, draw(st.integers(0, length - half)), half)
@@ -702,25 +703,34 @@ class TestShortSquares:
         assert _short_square_start(text) == regex_short_square_start(text)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 80_000), st.integers(32, 3_000), st.data())
-    def test_half_32_is_not_short(self, offset, length, data):
-        # a square of half 32 in a squarefree word: the short scan must not
+    @given(st.integers(0, 80_000), st.integers(64, 3_000), st.data())
+    def test_half_64_is_not_short(self, offset, length, data):
+        # a square of half 64 in a squarefree word: the short scan must not
         # report it, and the whole test finds it or a square overlapping it
         symbols = t8_window(offset, length)
-        position = data.draw(st.integers(0, length - 32))
-        text = "".join(map(str, with_square(symbols, position, 32)))
+        position = data.draw(st.integers(0, length - 64))
+        text = "".join(map(str, with_square(symbols, position, 64)))
         assert _short_square_start(text) == regex_short_square_start(text)
         if SHORT_SQUARE.search(text) is None:
             assert _short_square_start(text) == len(text)
             start, half = first_square(Word(text, 5))
-            assert half >= 32 and start <= position
+            assert half >= 64 and start <= position
 
-    def test_square_right_after_a_segment(self):
-        # the scan goes in segments of 100, 200, ... symbols; a square
-        # starting at a segment's last symbol reaches 61 symbols past it
+    def test_half_64_with_no_short_square(self):
+        # the inserted copy often makes a short square at its seam, so few
+        # draws above reach the long-half branch; this text must take it
+        text = "".join(map(str, with_square(t8_window(997, 3_000), 100, 64)))
+        assert SHORT_SQUARE.search(text) is None
+        assert _short_square_start(text) == len(text)
+        assert first_square(Word(text, 5)) == (100, 64)
+
+    def test_short_halves_at_fixed_positions(self):
+        # each half's find stops at best - 1 + half: a square found must
+        # start before the best start so far, yet its whole zero run, which
+        # ends half - 1 bytes past that start, lies inside the bound
         text = T8_PREFIX.text[:5_000]
         for position in (99, 100, 299):
-            for half in (1, 30, 31):
+            for half in (1, 30, 31, 32, 63):
                 squared = text[: position + half] + text[position:]
                 start = _short_square_start(squared)
                 assert start == regex_short_square_start(squared) and start <= position
