@@ -51,16 +51,12 @@ from .words import (
 Result = tuple[dict, list[str] | None, int]
 
 
-class UsageError(Exception):
-    pass
-
-
 def _load_morphism(path: str) -> Morphism:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise UsageError(f"cannot load morphism from {path}: {exc}") from exc
+        raise ValueError(f"cannot load morphism from {path}: {exc}") from exc
     return parse_morphism(text)
 
 
@@ -105,7 +101,7 @@ def cmd_check(args: argparse.Namespace) -> Result:
 def cmd_factors(args: argparse.Namespace) -> Result:
     if args.word is not None:
         if args.preamble is not None:
-            raise UsageError("--preamble needs --period")
+            raise ValueError("--preamble needs --period")
         return _factor_set(args.length, factors(Word.parse(args.word, args.alphabet), args.length))
     period = Word.parse(args.period, args.alphabet)
     preamble = Word.parse(args.preamble or "", args.alphabet)
@@ -158,7 +154,7 @@ def cmd_morphic_stream(args: argparse.Namespace) -> Result:
     h = _load_morphism(args.morphism)
     if args.inner_builtin is not None:
         if args.inner_preamble is not None:
-            raise UsageError("--inner-preamble needs --inner-period")
+            raise ValueError("--inner-preamble needs --inner-period")
         inner = Builtin(args.inner_builtin)
     else:
         period = Word.parse(args.inner_period, h.domain_size)
@@ -326,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, lines, code = args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -134,9 +134,17 @@ class MorphicImage(StreamSpec):
 
     def _prefix(self, n: int) -> str:
         # every image has at least `shortest` symbols, so ceil(n / shortest)
-        # inner symbols give at least n symbols
-        shortest = min(len(img) for img in self.morphism.images)
-        return self.inner._prefix(-(-n // shortest)).translate(self.morphism.table)[:n]
+        # inner symbols give at least n symbols.  They are translated in chunks
+        # of ceil(rest / longest), so at most longest - 1 symbols spill past n;
+        # a uniform morphism takes one chunk.
+        lengths = [len(img) for img in self.morphism.images]
+        inner, longest = self.inner._prefix(-(-n // min(lengths))), max(lengths)
+        pieces, built, i = [], 0, 0
+        while built < n:
+            j = i + -(-(n - built) // longest)
+            pieces.append(inner[i:j].translate(self.morphism.table))
+            built, i = built + len(pieces[-1]), j
+        return "".join(pieces)[:n]
 
 
 def _thue_prefix(n: int) -> str:
@@ -183,8 +191,9 @@ class Builtin(StreamSpec):
         return _BUILTINS[self.name][1](n)
 
 
-# The longest prefix stream_prefix builds: 64 Mi symbols, a few hundred MiB
-# while it is built.  A longer one is refused before any symbol is built.
+# The longest prefix stream_prefix or periodic_factors builds: 64 Mi symbols,
+# a few hundred MiB while it is built.  A longer one is refused before any
+# symbol is built.
 MAX_PREFIX = 2**26
 
 
@@ -312,8 +321,10 @@ def periodic_factors(spec: Periodic, n: int) -> frozenset[str]:
     """
     if not isinstance(spec, Periodic):
         raise TypeError("periodic_factors requires a Periodic stream spec")
-    prefix = spec._prefix(len(spec.preamble) + len(spec.period) + n - 1)
-    return _windows([prefix], n, spec.alphabet_size)
+    size = len(spec.preamble) + len(spec.period) + n - 1
+    if size > MAX_PREFIX:
+        raise ValueError(f"a prefix of {size} symbols exceeds the limit of {MAX_PREFIX}")
+    return _windows([spec._prefix(size)], n, spec.alphabet_size)
 
 
 # Squares xx with |x| <= 63, the halves the short tests take: SHORT_SQUARE.match

@@ -410,6 +410,8 @@ class TestExitCodes:
         "morphic stream --morphism {ternary} --length 100000000000 "
         "--inner-builtin nonperiodic-binary",
         "morphic marker --morphism {ternary} --marker ''",
+        # a prefix of 2^26 + 2 symbols for the window set: refused, not built
+        "factors --period 01 -s 2 -n 67108865",
     ])
     def test_bad_input_is_usage_error(self, capsys, tmp_path, argv):
         argv = shlex.split(argv.format(**write_morphisms(tmp_path)))

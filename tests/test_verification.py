@@ -18,7 +18,9 @@ from revfree.verification import (
     UNAVOIDABLE_SETS,
     check_t3,
     check_t4,
+    check_t5,
     check_t6,
+    match_ultimately_periodic,
     run_verification,
 )
 
@@ -63,9 +65,10 @@ def test_t6_fails_when_one_length_8_word_decodes_wrong(monkeypatch):
 
     def decode_one_word_wrong(h, y):
         u = periodicity_transport_check(h, y)
-        if u is not None and len(u) == 8 * 2**8:
-            # the 101st length-8 word gets its last letter flipped
-            i = 8 * 100 + 7
+        if u is not None and len(u) == 3586:  # the 510 words of lengths 1..8
+            # the 101st length-8 word, after the 1,538 symbols of the shorter
+            # words, gets its last letter flipped
+            i = 1538 + 8 * 100 + 7
             u = Word(u.text[:i] + "10"[int(u.text[i])] + u.text[i + 1 :], 2)
             wrong.append(i)
         return u
@@ -76,6 +79,24 @@ def test_t6_fails_when_one_length_8_word_decodes_wrong(monkeypatch):
     assert wrong, "the decoder never saw the length-8 words"
     assert not result.passed
     assert result.evidence["decode_ok"] is False
+
+
+def test_t5_fails_when_one_family_member_is_not_matched(monkeypatch):
+    # the complement of 001011 after the preamble 11
+    missed = stream_prefix(Periodic(Word("11", 2), Word("110100", 2)), 30)
+    unmatched = []
+
+    def match_all_but_one(prefix, b):
+        if prefix == missed:
+            unmatched.append(prefix)
+            return None
+        return match_ultimately_periodic(prefix, b)
+
+    assert check_t5().passed
+    monkeypatch.setattr(verification, "match_ultimately_periodic", match_all_but_one)
+    result = check_t5()
+    assert unmatched, "the matcher never saw the member"
+    assert not result.passed
 
 
 def test_t4_fails_on_a_reversal_conflict_near_symbol_110(monkeypatch):

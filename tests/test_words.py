@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -461,6 +462,32 @@ class TestStreams:
             stream_prefix(Builtin("thue-squarefree-ternary"), 10**11)
         with pytest.raises(AssertionError):  # the limit itself is allowed
             stream_prefix(Unbuildable(), MAX_PREFIX)
+
+    def test_periodic_factors_refused_past_the_limit(self):
+        class Unbuildable(Periodic):
+            def _prefix(self, n):
+                raise AssertionError(f"built a prefix of {n} symbols")
+
+        spec = Unbuildable(w("", 2), w("01", 2))
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            periodic_factors(spec, MAX_PREFIX)  # a prefix of 2^26 + 1 symbols
+        with pytest.raises(AssertionError, match=f"{MAX_PREFIX} symbols"):
+            periodic_factors(spec, MAX_PREFIX - 1)  # the limit itself is allowed
+
+    def test_long_image_builds_only_what_it_returns(self):
+        # 0 -> 0, 1 -> 1^1000 over 1^omega: translating the ceil(n / 1) inner
+        # symbols at once would build 1000 n symbols
+        h = Morphism.from_strings(["0", "1" * 1000], 2)
+        spec = MorphicImage(h, Periodic(w("", 2), w("1", 2)))
+        n = 100_000
+        tracemalloc.start()
+        try:
+            prefix = stream_prefix(spec, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prefix.text == "1" * n
+        assert peak < 10 * n
 
     def test_periodic_prefix(self):
         assert str(stream_prefix(Periodic(w("", 3), w("012", 3)), 7)) == "0120120"
