@@ -8,34 +8,35 @@ contains an offending length-k prefix whose reversal is a suffix of x^R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .words import Word, alphabet, factors, first_square
+from .words import Record, Word, alphabet, factors, first_square
 
 
-@dataclass(frozen=True)
-class AvoidanceQuery:
+class AvoidanceQuery(Record):
+    __slots__ = ("k", "require_squarefree")
     k: int
-    require_squarefree: bool = False
+    require_squarefree: bool
+
+    def __init__(self, k: int, require_squarefree: bool = False) -> None:
+        super().__init__(k, require_squarefree)
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be at least 1")
 
 
-@dataclass(frozen=True)
-class ConflictWitness:
+class ConflictWitness(Record):
     """A length-k subword occurring together with its reversal."""
 
+    __slots__ = ("x", "position_x", "position_xr")
     x: Word
     position_x: int
     position_xr: int
 
 
-@dataclass(frozen=True)
-class SquareWitness:
+class SquareWitness(Record):
     """A square xx found at the recorded offset."""
 
+    __slots__ = ("x", "position")
     x: Word
     position: int
 

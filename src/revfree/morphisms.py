@@ -4,16 +4,15 @@ blockwise decoding, and the finite squarefreeness test for ternary morphisms."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .words import LETTERS, Word, _windows, alphabet, drop_squares, is_squarefree
+from .words import LETTERS, Record, Word, _windows, alphabet, drop_squares, is_squarefree
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     """A morphism given by the digit strings of the images of the letters
     0..domain_size-1: nonempty words over one codomain alphabet."""
 
+    __slots__ = ("images", "codomain_size")
     images: tuple[str, ...]
     codomain_size: int
 
@@ -91,12 +90,12 @@ def apply(h: Morphism, w: Word) -> Word:
     return Word(w.text.translate(h.table), h.codomain_size)
 
 
-@dataclass(frozen=True)
-class FactorSet:
+class FactorSet(Record):
     """A preimage universe for `image_factor_set`: distinct words sharing one
     common length, held as `Word`s because the benchmark's tracer reads their
     `symbols`.  Window sets are frozensets of digit strings."""
 
+    __slots__ = ("length", "members")
     length: int
     members: frozenset[Word]
 
@@ -175,11 +174,11 @@ def image_factor_set(h: Morphism, k: int, preimage_universe: FactorSet) -> froze
     return _windows(images, k, h.codomain_size)
 
 
-@dataclass(frozen=True)
-class MarkerReport:
+class MarkerReport(Record):
     """Every occurrence of a marker inside images of letter pairs, as the pair
     "ab" and the offset in h(a)h(b), and whether the marker synchronizes."""
 
+    __slots__ = ("marker", "occurrences", "synchronized")
     marker: Word
     occurrences: tuple[tuple[str, int], ...]
     synchronized: bool
@@ -214,8 +213,8 @@ def marker_sync_check(h: Morphism, marker: Word) -> MarkerReport:
     return MarkerReport(marker, occurrences, synchronized)
 
 
-@dataclass(frozen=True)
-class SquarefreeMorphismResult:
+class SquarefreeMorphismResult(Record):
+    __slots__ = ("passed", "preimages", "failing")
     passed: bool
     preimages: tuple[Word, ...]
     failing: Word | None

@@ -51,26 +51,25 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .avoidance import AvoidanceQuery, is_valid
-from .words import SHORT_SQUARE, Word, alphabet, drop_squares, starts_with_long_square
+from .words import SHORT_SQUARE, Record, Word, alphabet, drop_squares, starts_with_long_square
 
 
-@dataclass(frozen=True)
-class Finite:
+class Finite(Record):
     """The valid tree dies: no valid word is longer than max_length."""
 
+    __slots__ = ("max_length", "witnesses", "nodes_explored")
     max_length: int
     witnesses: tuple[Word, ...]
     nodes_explored: int
 
 
-@dataclass(frozen=True)
-class ExceedsCap:
+class ExceedsCap(Record):
     """A valid word of length cap exists; the search stopped there."""
 
+    __slots__ = ("cap", "sample_survivor", "nodes_explored")
     cap: int
     sample_survivor: Word
     nodes_explored: int

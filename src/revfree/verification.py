@@ -12,7 +12,6 @@ prefix matcher behind `match-periodic`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .avoidance import AvoidanceQuery, has_reversal_conflict, is_valid, verify_unavoidable
 from .morphisms import (
@@ -29,6 +28,7 @@ from .words import (
     Builtin,
     MorphicImage,
     Periodic,
+    Record,
     Word,
     complement,
     cyclic_shifts,
@@ -79,8 +79,8 @@ def rotation_family(z: Word) -> frozenset[Word]:
     return cyclic_shifts(z) | cyclic_shifts(complement(z))
 
 
-@dataclass(frozen=True)
-class CharacterizationReport:
+class CharacterizationReport(Record):
+    __slots__ = ("fact1_holds", "fact2_holds", "valid_count_len9", "exceptions")
     fact1_holds: bool
     fact2_holds: bool
     valid_count_len9: int
@@ -143,8 +143,8 @@ def match_ultimately_periodic(
     return None
 
 
-@dataclass(frozen=True)
-class TheoremResult:
+class TheoremResult(Record):
+    __slots__ = ("id", "claim", "passed", "evidence")
     id: str
     claim: str
     passed: bool
@@ -155,8 +155,8 @@ class TheoremResult:
         return "pass" if self.passed else "fail"
 
 
-@dataclass(frozen=True)
-class PaperReport:
+class PaperReport(Record):
+    __slots__ = ("results",)
     results: tuple[TheoremResult, ...]
 
     @property

@@ -14,7 +14,6 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -32,19 +31,81 @@ def alphabet(s: int) -> str:
     return LETTERS[:s]
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Record:
+    """An immutable value whose fields are the names in its class's `__slots__`.
+
+    A record is built from its fields in order, then checked by `__post_init__`.
+    It equals only a record of its own class with equal fields, is hashed by
+    them and reprs as Name(field=value, ...).  The methods are written once,
+    here, so a record class generates no code at import.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild the record, so its checks run again
+        return type(self), self._values()
+
+
+class Word(Record):
     """An immutable finite word over the alphabet {0, ..., alphabet_size - 1},
     held as its digit string `text`.
 
     The alphabet size is carried explicitly: the digit string "01" denotes
     different objects over a binary and a ternary alphabet (complementation
     and search semantics differ).  It is at most 10, so that every symbol
-    is one digit; digit strings order as their symbol tuples do.
+    is one digit; digit strings order as their symbol tuples do.  It has
+    its own `__init__`, `__eq__` and `__hash__`, since words are built and
+    hashed on hot paths; every construction still ends in `__post_init__`.
     """
 
+    __slots__ = ("text", "alphabet_size")
     text: str
     alphabet_size: int
+
+    def __init__(self, text: str, alphabet_size: int) -> None:
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "alphabet_size", alphabet_size)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.text == other.text and self.alphabet_size == other.alphabet_size
+
+    def __hash__(self) -> int:
+        return hash((self.text, self.alphabet_size))
 
     def __post_init__(self) -> None:
         stray = self.text.strip(alphabet(self.alphabet_size))
@@ -88,15 +149,17 @@ class Word:
         return Word(self.text + other.text, self.alphabet_size)
 
 
-class StreamSpec:
+class StreamSpec(Record):
     """Finite description of an infinite word: each kind gives its
     `alphabet_size` and `_prefix(n)`, its first n symbols as one digit string."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Periodic(StreamSpec):
     """The ultimately periodic word preamble . period . period . period ..."""
 
+    __slots__ = ("preamble", "period")
     preamble: Word
     period: Word
 
@@ -115,10 +178,10 @@ class Periodic(StreamSpec):
         return (self.preamble.text + period * (n // len(period) + 1))[:n]
 
 
-@dataclass(frozen=True)
 class MorphicImage(StreamSpec):
     """The letterwise image of another infinite word under a morphism."""
 
+    __slots__ = ("morphism", "inner")
     morphism: "Morphism"
     inner: StreamSpec
 
@@ -170,13 +233,13 @@ _BUILTINS = {
 BUILTIN_NAMES = tuple(_BUILTINS)
 
 
-@dataclass(frozen=True)
 class Builtin(StreamSpec):
     """A named word: "nonperiodic-binary" (the concatenation 1 10 100
     1000 ..., nonperiodic since its runs of zeros strictly grow) or
     "thue-squarefree-ternary" (the squarefree fixed point of 0 -> 012,
     1 -> 02, 2 -> 1)."""
 
+    __slots__ = ("name",)
     name: str
 
     def __post_init__(self) -> None:

@@ -164,6 +164,31 @@ class TestWord:
         with pytest.raises(ValueError):
             w("01", 2) + w("01", 3)
 
+    def test_each_construction_calls_post_init_once(self, monkeypatch):
+        # the hook that counts words.Word.constructions in the benchmark's
+        # tracer: __post_init__, looked up on the class, once per Word built
+        calls = []
+        post_init = Word.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Word, "__post_init__", counting)
+        u, v, x = Word("0120", 3), Word("21", 3), Word("01", 2)
+        spec = Periodic(Word("", 2), x)
+        calls.clear()
+        for build, expected in [
+            (lambda: Word("012", 3), "012"),
+            (lambda: Word.parse(" 0012 ", 3), "0012"),
+            (lambda: u[1:3], "12"),
+            (lambda: u + v, "012021"),
+            (lambda: stream_prefix(spec, 5), "01010"),
+            (lambda: apply(BINARY_TO_TERNARY, x), "00120112"),
+        ]:
+            built = build()
+            assert len(calls) == 1 and calls.pop() is built and built.text == expected
+
 
 class TestReverse:
     def test_examples(self):
