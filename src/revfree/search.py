@@ -7,7 +7,7 @@ and, for squarefree queries, no square ends at the new symbol.  A word in the
 search is its own digit string reversed, so that the newest window and the
 squares ending at the newest symbol are prefixes, and one more reversal gives
 the result's digit string.  `words.drop_squares` drops the words of a level
-that such a square starts; the DFS makes its two calls inline, once per push.
+that such a square starts; the DFS tests its pushes against its path.
 
 The window is fixed by the word's newest k-1 symbols and the letter, so
 `_moves` writes the extension rule once, per state: per letter, the window x
@@ -29,11 +29,31 @@ its path as linked nodes, each with its letter, its parent and its row's
 untried moves, not recursion, so no interpreter limit bounds its depth;
 forced extension keeps its path as a list of letters.  So a push costs O(k)
 without squares: binary k=5 to cap 80,000 takes about 63 ms, against 170 ms
-with a copy of the path per push and pop.  A squarefree DFS also keeps the
-reversed path as one string and tests each push with the two calls
-`drop_squares` makes, `SHORT_SQUARE.match` and `starts_with_long_square`;
-`words` alone decides which halves each takes.  Ternary k=6 with the first
-letter fixed takes about 1.9 s to cap 40,000 (Intel Xeon, Python 3.11).
+with a copy of the path per push and pop.
+
+A squarefree DFS also keeps the reversed path as one string.  A push takes
+the halves below B = `words.PATH_BLOCK` with one `PATH_SHORT_SQUARE`
+match, and longer halves from an index of the path's B-blocks, kept next to
+the window set.  Suppose a square of half L >= B ends at depth D on a path
+that was squarefree before.  The run of period L that ends there is then
+exactly L symbols long, one fewer a pop back, so exactly B symbols long at
+depth D - (L - B): there the newest B symbols recur L symbols back, and the
+symbols before the two copies differ, or the earlier copy starts the path.
+So the index maps each block to the symbol before it, and that symbol to
+the depths at which the block was pushed.  A push at depth d schedules, for
+every earlier depth e where its block followed a different symbol, one
+comparison of half d - e at depth 2d - B - e; a block that recurs after the
+same symbol continues a run that is already scheduled, and a comparison due
+at d itself is a square of half B.  A push at each depth compares the halves
+scheduled there exactly, so a run that broke in between just fails the
+comparison.  Halves below B never reach the index: two copies of a block
+that overlap make such a square, and the regex has rejected it.  A pop
+removes its block and its schedules, in stack order.  Copies of a block lie
+at least B symbols apart, so a push schedules at most d / B comparisons;
+the `c + rev` copy still costs O(n) per push.  Ternary k=6 with the first
+letter fixed takes about 0.12 / 0.42 s to caps 20,000 / 40,000, against
+0.5 / 2.0 s when every push searched the path for its long halves (Intel
+Xeon, Python 3.11).
 
 Validity and squarefreeness do not change when the letters are renamed
 one-to-one, so `enumerate_valid` and `max_valid_length` extend only one word
@@ -51,10 +71,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator
+from collections.abc import Iterator
 
 from .avoidance import AvoidanceQuery, is_valid
-from .words import SHORT_SQUARE, Record, Word, alphabet, drop_squares, starts_with_long_square
+from .words import PATH_BLOCK, PATH_SHORT_SQUARE, Record, Word, alphabet, drop_squares
 
 
 class Finite(Record):
@@ -143,7 +163,10 @@ def _next_level(
 # The most words enumerate_valid lists at any length: about 0.9 GiB of them,
 # at the 143 MiB that 677,902 binary words of length 40 take.
 MAX_LISTING = 2**22
-# The deepest cap max_valid_length takes: about 1.1 GiB of path, as Nodes.
+# The deepest cap max_valid_length takes: about 1.1 GiB of path, as Nodes
+# at 138 bytes a symbol.  A squarefree path also holds its index and the
+# comparisons it has scheduled, which grow with depth: on the ternary k=6
+# search about 310 bytes a symbol at 5,000, 470 at 20,000 and 630 at 40,000.
 MAX_DEPTH = 2**23
 
 
@@ -212,8 +235,12 @@ def _plain_count(starts: list[int], total: int, weight: list[int]) -> int:
     return sum((end - start) // weight[j] for j, (start, end) in enumerate(zip(starts, ends)))
 
 
-# (letter, parent, window added, the moves of its row not yet tried)
-Node = tuple[str, "Node | None", str | None, Iterator[Move]]
+# (letter, parent, window added, the moves of its row not yet tried, and for
+# a squarefree query past depth B the index's depth list its block joined and
+# the halves it scheduled, else None)
+Node = tuple[
+    str, "Node | None", str | None, Iterator[Move], "tuple[list[int], list[int]] | None"
+]
 
 
 def _unwind(node: Node | None) -> str:
@@ -260,13 +287,19 @@ def max_valid_length(
     if cap > MAX_DEPTH:
         raise ValueError(f"a cap of {cap} exceeds the depth limit of {MAX_DEPTH}")
     k, squarefree = q.k, q.require_squarefree
-    short_square = SHORT_SQUARE.match
+    short_square = PATH_SHORT_SQUARE.match
+    B = PATH_BLOCK
     weight = [math.perm(s, j) for j in range(s + 1)]  # words per canonical word using j letters
     table: dict[State, list[Move]] = {}  # the root's state (0, "") never recurs
     # the path as linked Nodes, newest symbol first: a push and a pop copy nothing
-    node: Node | None = ("", None, None, iter(_moves((0, ""), letters, k)))
-    rev = ""  # squarefree queries only: the path's digits, reversed
+    node: Node | None = ("", None, None, iter(_moves((0, ""), letters, k)), None)
     windows: set[str] = set()  # the length-k windows of the reversed path
+    # squarefree queries only: the path's digits, reversed; the index of its
+    # B-blocks, block -> the symbol before it ("" at the path's start) -> the
+    # depths that pushed it; and per depth, the halves to compare there
+    rev = ""
+    blocks: dict[str, dict[str, list[int]]] = {}
+    due: dict[int, list[int]] = {}
     # per number j of letters on the path: the depth of the first word on it
     # that uses j letters, and the weight counted before that word
     depths, starts = [0], [0]
@@ -280,10 +313,37 @@ def max_valid_length(
         for c, x, window, after in node[3]:
             if x in windows:
                 continue
+            scheduled = None
             if squarefree:
                 ext = c + rev
-                if short_square(ext) or starts_with_long_square(ext):
+                if short_square(ext):
                     continue
+                here = due.get(d)
+                if here and any(ext.startswith(ext[:h], h) for h in here):
+                    continue
+                if d >= B:
+                    block, before = ext[:B], ext[B : B + 1]
+                    followers = blocks.get(block)
+                    if followers is None:
+                        blocks[block] = followers = {}
+                    pushes = followers.get(before)
+                    halves = ()
+                    if len(followers) > (pushes is not None):  # another symbol came before it
+                        # each depth e where this block followed another
+                        # symbol starts a run that is a square of half d - e
+                        # at depth 2d - B - e, if it lasts; depths past the
+                        # cap never come
+                        first = 2 * d - B - cap
+                        halves = [d - e for prior, earlier in followers.items()
+                                  if prior != before for e in earlier if e >= first]
+                        if B in halves:
+                            continue  # a square of half B ends here
+                        for h in halves:
+                            due.setdefault(d + h - B, []).append(h)
+                    if pushes is None:
+                        followers[before] = pushes = []
+                    pushes.append(d)
+                    scheduled = pushes, halves
                 rev = ext
             if after[0] > j:
                 j += 1
@@ -296,7 +356,7 @@ def max_valid_length(
                 windows.add(window)
             if after not in table:
                 table[after] = _moves(after, letters, k)
-            node = (c, node, window, iter(table[after]))
+            node = (c, node, window, iter(table[after]), scheduled)
             if d == cap:
                 survivor = Word(_unwind(node)[::-1], s)
                 return ExceedsCap(cap, survivor, _plain_count(starts, total, weight))
@@ -313,11 +373,16 @@ def max_valid_length(
                 depths.pop()
                 starts.pop()
                 j -= 1
-            _, node, window, _ = node  # popping the root leaves None: the walk ends
+            _, node, window, _, scheduled = node  # popping the root leaves None: the walk ends
             if window is not None:
                 windows.remove(window)
             if squarefree:
                 rev = rev[1:]
+                if scheduled is not None:
+                    pushes, halves = scheduled
+                    pushes.pop()
+                    for h in halves:
+                        due[d + h - B].pop()
     groups: dict[int, list[str]] = {}
     for path in map(_unwind, witnesses):
         groups.setdefault(len(set(path)), []).append(path)

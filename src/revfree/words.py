@@ -5,7 +5,14 @@ A window set of length-n windows over s letters is built from integer
 codes when s**n <= 256: every window's base-s code lands in its own byte of
 one big-integer sum over a batch of the text, and only the distinct codes
 are decoded back to digit strings.  Longer windows, s**n > 256, are sliced
-one by one.
+one by one, up to MAX_WINDOW_SYMBOLS symbols in all.
+
+Squares are split by the length of their half in two ways.  Listings
+(`drop_squares`) and whole-word scans (`first_square`) take halves up to
+SHORT_HALF = 63 by the short tests and longer halves by one block of 64
+symbols.  The squarefree DFS (`search.max_valid_length`) takes halves below
+PATH_BLOCK = 24 by PATH_SHORT_SQUARE and longer ones by an index of its
+path's 24-symbol blocks, which needs a path that listings do not have.
 """
 
 from __future__ import annotations
@@ -14,8 +21,10 @@ import functools
 import itertools
 import math
 import re
-from typing import TYPE_CHECKING, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
+# True only to type checkers: importing typing would cost every start-up
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .morphisms import Morphism
 
@@ -258,6 +267,10 @@ class Builtin(StreamSpec):
 # a few hundred MiB while it is built.  A longer one is refused before any
 # symbol is built.
 MAX_PREFIX = 2**26
+# The most symbols a window set of sliced windows (s**n > 256) may hold,
+# (len - n + 1) * n summed over the texts: 128 Mi symbols, about as many bytes
+# of window strings.  A larger one is refused before any window is sliced.
+MAX_WINDOW_SYMBOLS = 2**27
 
 
 def stream_prefix(spec: StreamSpec, n: int) -> Word:
@@ -347,11 +360,17 @@ def _windows(texts: Iterable[str], n: int, s: int) -> frozenset[str]:
     about _BATCH symbols, a longer text alone in pieces, and only the
     distinct codes are decoded.  That covers every window set of the
     paper's claims: 3 or 5 letters at n = 2, 3 at n = 3 and 2 at n = 5
-    and 6.  Longer windows are sliced one by one.
+    and 6.  Longer windows are sliced one by one, once their symbols are
+    known not to exceed MAX_WINDOW_SYMBOLS.
     """
     if n < 1:
         raise ValueError("factor length must be at least 1")
     if n > 8 or s**n > 256:
+        texts = list(texts)
+        size = sum(max(len(x) - n + 1, 0) for x in texts) * n
+        if size > MAX_WINDOW_SYMBOLS:
+            raise ValueError(f"the {size} symbols of the length-{n} windows exceed "
+                             f"the limit of {MAX_WINDOW_SYMBOLS}")
         # no code fits a byte, so slice: a set comprehension, since
         # frozenset() of a generator is slower on long words
         return frozenset({x[i : i + n] for x in texts for i in range(len(x) - n + 1)})
@@ -390,18 +409,25 @@ def periodic_factors(spec: Periodic, n: int) -> frozenset[str]:
     return _windows([spec._prefix(size)], n, spec.alphabet_size)
 
 
-# Squares xx with |x| <= 63, the halves the short tests take: SHORT_SQUARE.match
-# tells whether one starts a text, reading at most 126 symbols, and .search
-# finds the leftmost, in O(63 n) steps.  Lazy, so a match tries the shortest
+# The longest half of a square the short tests of listings and whole-word
+# scans take.  Squares xx with |x| <= SHORT_HALF: SHORT_SQUARE.match tells
+# whether one starts a text, reading at most 126 symbols, and .search finds
+# the leftmost, in O(63 n) steps.  Lazy, so a match tries the shortest
 # halves, where most squares of a search lie, first.
-SHORT_SQUARE = re.compile(r"(.{1,63}?)\1")
+SHORT_HALF = 63
+SHORT_SQUARE = re.compile(rf"(.{{1,{SHORT_HALF}}}?)\1")
+# The block length of the squarefree DFS's index (see `search`): it takes
+# halves below PATH_BLOCK by PATH_SHORT_SQUARE.match, reading at most 46
+# symbols, and longer ones by the index.
+PATH_BLOCK = 24
+PATH_SHORT_SQUARE = re.compile(rf"(.{{1,{PATH_BLOCK - 1}}}?)\1")
 # Matched at a position, the square starting there with the shortest half.
 # Symbols are digits, so "." matches any of them.
 SHORTEST_SQUARE = re.compile(r"(.+?)\1")
 
 
 def _short_square_start(text: str) -> int:
-    """Start of the leftmost square with half at most 63 in text, or
+    """Start of the leftmost square with half at most SHORT_HALF in text, or
     len(text) when it has none: the start `SHORT_SQUARE.search` reports.
 
     Each half L is one XOR of big integers: with text[:n - L] and text[L:]
@@ -413,7 +439,7 @@ def _short_square_start(text: str) -> int:
     n = len(text)
     whole = int.from_bytes(text.encode(), "big")
     best = n
-    for half in range(1, min(63, n // 2) + 1):
+    for half in range(1, min(SHORT_HALF, n // 2) + 1):
         rest = n - half
         # text[:rest] XOR text[half:], as one integer of rest bytes
         diff = (whole >> 8 * half) ^ (whole & ((1 << 8 * rest) - 1))
@@ -426,21 +452,21 @@ def _short_square_start(text: str) -> int:
 def _leftmost_square_start(text: str) -> int | None:
     """Start of the leftmost square in text, or None when it has none.
 
-    Halves up to 63 go to `_short_square_start`.  Longer halves p in [2m, 4m)
-    are found one level at a time, m = 32, 64, 128, ...: a square xx at i
-    with such a half holds text[a:q+m] inside its first x, where q is the
-    first multiple of m at or after i and a is q, or best - 1 when that is
-    smaller (i < best, the leftmost start found so far).  That block
-    occurs again at a + p; str.find gives the candidates p, and each is
-    confirmed by how far the match reaches back from a (one XOR, as in the
-    short scan) and one comparison of the whole square.  No square starts
-    at a < best, so the block has no period up to half its length and
-    occurs at most a few times in the window searched.
+    Halves up to SHORT_HALF go to `_short_square_start`.  Longer halves p
+    in [2m, 4m) are found one level at a time, m = 32, 64, 128, ...: a
+    square xx at i with such a half holds text[a:q+m] inside its first x,
+    where q is the first multiple of m at or after i and a is q, or
+    best - 1 when that is smaller (i < best, the leftmost start found so
+    far).  That block occurs again at a + p; str.find gives the candidates
+    p, and each is confirmed by how far the match reaches back from a (one
+    XOR, as in the short scan) and one comparison of the whole square.  No
+    square starts at a < best, so the block has no period up to half its
+    length and occurs at most a few times in the window searched.
     """
     n = len(text)
     best = _short_square_start(text)
     data = text.encode()
-    m = 32
+    m = (SHORT_HALF + 1) // 2
     while 4 * m <= n and best > 0:
         for q in range(0, n - 3 * m, m):
             if q - m + 1 >= best:  # the block gives starts in (q - m, q] only
@@ -470,22 +496,22 @@ def drop_squares(texts: list[str]) -> list[str]:
     """The texts, all of one length, that no square xx starts, in order: those
     SHORTEST_SQUARE.match rejects, without its regex step per candidate half.
 
-    Halves up to 63 go to SHORT_SQUARE, and longer ones, once the texts have
-    128 symbols, to `starts_with_long_square`.  The DFS makes the same two
-    calls inline, once per push.  A test that finds no square on the
-    reversed path of the ternary k=6 squarefree search takes about 1.3 us
-    at 50 symbols, 3.5 us at 800, 35 us at 20,000 and 70 us at 40,000
-    (Intel Xeon, Python 3.11).
+    Halves up to SHORT_HALF go to SHORT_SQUARE, and longer ones, once the
+    texts have room for two, to `starts_with_long_square`.  A test that
+    finds no square on the reversed path of the ternary k=6 squarefree
+    search takes about 1.3 us at 50 symbols, 3.5 us at 800, 35 us at 20,000
+    and 70 us at 40,000 (Intel Xeon, Python 3.11).  The DFS has the path
+    these texts extend, so it tests its pushes another way (see `search`).
     """
     short_square = SHORT_SQUARE.match
     texts = [t for t in texts if not short_square(t)]
-    if texts and len(texts[0]) >= 128:
+    if texts and len(texts[0]) > 2 * SHORT_HALF + 1:
         texts = [t for t in texts if not starts_with_long_square(t)]
     return texts
 
 
 def starts_with_long_square(text: str) -> bool:
-    """True iff a square xx with |x| >= 64 starts text.
+    """True iff a square xx with |x| > SHORT_HALF starts text.
 
     Such a square puts the block text[:64] at |x|.  So str.find, over the
     starts that keep the block's copy within the first half of the text
@@ -495,10 +521,11 @@ def starts_with_long_square(text: str) -> bool:
     cost the most: the ternary k=6 search path at 40,000 symbols puts 72
     copies of its block in the half searched.
     """
-    if len(text) < 128:  # no such square fits: the DFS's short paths end here
+    least = SHORT_HALF + 1  # the shortest long half
+    if len(text) < 2 * least:  # no such square fits
         return False
-    block, end = text[:64], len(text) // 2 + 64
-    j = text.find(block, 64, end)
+    block, end = text[:least], len(text) // 2 + least
+    j = text.find(block, least, end)
     while j != -1:
         if text.startswith(text[:j], j):
             return True

@@ -51,6 +51,19 @@ class TestCheck:
         assert code == 1
         assert "01" in out
 
+    def test_long_windows_refused_before_slicing(self, capsys):
+        # 65,537 windows of 65,535 symbols, about 4.3 * 10^9 in all: exit 2
+        # at once with nothing on stdout, not gigabytes of slices later
+        word = ("0123456789" * 13_108)[:131_071]
+        code, out = run(capsys, ["check", "-s", "10", "-k", "65535", "--word", word])
+        assert (code, out) == (2, "")
+
+    def test_long_windows_under_the_bound(self, capsys):
+        # 10,001 windows of 10,000 symbols, 10^8 in all, are still sliced
+        word = "0123456789" * 2_000
+        code, out = run(capsys, ["check", "-s", "10", "-k", "10000", "--word", word])
+        assert (code, out) == (0, "valid\n")
+
     def test_valid_k5_prefix(self, capsys):
         code, _ = run(capsys, ["check", "--word", "00101100", "-k", "5", "-s", "2"])
         assert code == 0
@@ -325,6 +338,20 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["check", "--word", "01", "-k", "2", "-s", "2", "--nope"])
         assert exc.value.code == 2
+
+
+class TestStartUp:
+    def test_imports_leave_typing_out(self):
+        # typing costs a cold start 2-3.5 ms: annotations stay strings, and
+        # the names they use come from collections.abc or stay behind
+        # TYPE_CHECKING; -I -S keeps site hooks from importing it first
+        src = Path(revfree.__file__).resolve().parent.parent
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+                "import revfree, revfree.cli, revfree.verification; "
+                "print('revfree' in sys.modules, 'typing' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "True False\n"
 
 
 class TestCallsInARow:

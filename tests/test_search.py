@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from bisect import bisect_right
@@ -28,7 +29,7 @@ from revfree import (
 )
 from revfree import search
 from revfree.verification import K5_PERIOD
-from revfree.words import SHORT_SQUARE, SHORTEST_SQUARE, alphabet, starts_with_long_square
+from revfree.words import PATH_BLOCK, PATH_SHORT_SQUARE, SHORTEST_SQUARE, alphabet, first_square
 
 
 def w(text, s):
@@ -413,10 +414,11 @@ class TestMaxValidLength:
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
     def test_agrees_with_plain_dfs(self, s):
         # caps 1 to 12 stop the walk at shallow depths while the nodes above
-        # still hold untried moves; caps 63, 64 and 65 straddle 64 symbols,
-        # where the long-half square test first runs, and caps 127, 128 and
-        # 129 straddle 128, where its 64-symbol block first finds two halves
-        caps = (*range(1, 13), 63, 64, 65, 127, 128, 129, 300)
+        # still hold untried moves; caps 23, 24 and 25 straddle 24 symbols,
+        # where the path's first block joins the index, and caps 47, 48 and
+        # 49 straddle 48, where the first square of half 24 fits; the
+        # reference finds its squares with SHORTEST_SQUARE, not the index
+        caps = (*range(1, 13), 23, 24, 25, 47, 48, 49, 63, 64, 65, 127, 128, 129, 300)
         for k, squarefree, cap, fix_first in itertools.product(
             range(1, 8), (False, True), caps, (False, True)
         ):
@@ -424,31 +426,46 @@ class TestMaxValidLength:
             expected = plain_max_valid_length(s, q, cap, fix_first)
             assert max_valid_length(s, q, cap, fix_first) == expected, (k, squarefree, cap)
 
+    def test_survivor_valid_at_every_cap(self):
+        # a square whose comparison the index schedules at the cap itself is
+        # still compared there: at every cap from PATH_BLOCK to 200, each
+        # squarefree tree that passes the cap gives a valid survivor
+        for s, k in itertools.product((3, 4, 5), range(2, 8)):
+            q = AvoidanceQuery(k, True)
+            for cap in range(PATH_BLOCK, 201):
+                outcome = max_valid_length(s, q, cap, fix_first_symbol=True)
+                if isinstance(outcome, ExceedsCap):
+                    assert is_valid(outcome.sample_survivor, q), (s, k, cap)
+
     def test_extends_only_canonical_paths(self, monkeypatch):
         # the DFS walks one word per alphabet-permutation orbit: each path
         # it hands the square test has letters first occurring in the order
-        # 0, 1, 2, ..., below depth 64 and from there on; the test is the
-        # short-half regex on every path, and the long-half test on every
-        # path the regex passes
-        tested, tested_long = [], []
+        # 0, 1, 2, ...; the short-half regex sees every path, and the paths
+        # the DFS extends start with no square, so the index of 24-blocks
+        # rejected every longer square, past depth 2 * PATH_BLOCK too
+        tested = []
 
         class RecordingShortSquare:
             @staticmethod
             def match(rev, *bounds):
                 tested.append(rev)
-                return SHORT_SQUARE.match(rev, *bounds)
+                return PATH_SHORT_SQUARE.match(rev, *bounds)
 
-        def recording_starts_with_long_square(rev):
-            tested_long.append(rev)
-            return starts_with_long_square(rev)
-
-        monkeypatch.setattr(search, "SHORT_SQUARE", RecordingShortSquare)
-        monkeypatch.setattr(search, "starts_with_long_square", recording_starts_with_long_square)
+        monkeypatch.setattr(search, "PATH_SHORT_SQUARE", RecordingShortSquare)
         assert max_valid_length(4, AvoidanceQuery(2, True), 64).nodes_explored == 2945
         assert isinstance(max_valid_length(5, AvoidanceQuery(2, True), 300), ExceedsCap)
-        assert min(map(len, tested)) < 64 <= max(map(len, tested))
-        assert tested_long == [rev for rev in tested if not SHORT_SQUARE.match(rev)]
-        assert set(tested_long) <= set(tested)
+        outcome = max_valid_length(3, AvoidanceQuery(6, True), 1000, fix_first_symbol=True)
+        assert outcome.nodes_explored == 1214
+        assert min(map(len, tested)) == 1 and max(map(len, tested)) == 1000
+        extended = {rev[1:] for rev in tested if len(rev) > 1}
+        assert extended <= set(tested)  # the regex saw each path before its push
+        assert not any(SHORTEST_SQUARE.match(rev) for rev in extended)
+        # paths the regex passed but a square of half 24 or more starts,
+        # rejected by the index alone, beyond where the first such square fits
+        long_squares = [rev for rev in tested
+                        if not PATH_SHORT_SQUARE.match(rev) and SHORTEST_SQUARE.match(rev)]
+        assert max(map(len, long_squares)) > 2 * PATH_BLOCK
+        assert not extended & set(long_squares)
         for rev in tested:
             first_seen = "".join(dict.fromkeys(rev[::-1]))
             assert first_seen == "01234"[: len(first_seen)]
@@ -464,13 +481,29 @@ class TestMaxValidLength:
         (3, 6, True, 3642), (4, 3, True, 5270), (5, 2, False, 3153),
     ])
     def test_deep_squarefree_trees_pinned(self, s, k, fix_first, nodes):
-        # past depth 64, where the square test finds blocks instead of
-        # matching one regex step per half
+        # past depth 2 * PATH_BLOCK, where the index of the path's blocks
+        # schedules the comparisons of the long halves
         q = AvoidanceQuery(k, require_squarefree=True)
         outcome = max_valid_length(s, q, 3000, fix_first_symbol=fix_first)
         assert isinstance(outcome, ExceedsCap)
         assert outcome.nodes_explored == nodes
         assert is_valid(outcome.sample_survivor, q)
+
+    @pytest.mark.parametrize("cap, nodes, digest", [
+        (5_000, 6_056, "91a2adf9e149964d0516e3c857a43a255c693235cb57b707df7a4a08e3af9391"),
+        (20_000, 23_956, "ad9bc12abdade61eac3c610e0cf4bfa221af7944205cc2ebebaab1f13061aae7"),
+    ])
+    def test_deep_ternary_path_pinned(self, cap, nodes, digest):
+        # thousands of pushes past depth 2 * PATH_BLOCK, where the index of
+        # 24-blocks schedules each long-half comparison: the tree, and the
+        # survivor by its sha256, are those of the DFS that matched every
+        # long half against the whole path
+        q = AvoidanceQuery(6, require_squarefree=True)
+        outcome = max_valid_length(3, q, cap, fix_first_symbol=True)
+        assert isinstance(outcome, ExceedsCap)
+        assert outcome.nodes_explored == nodes
+        assert first_square(outcome.sample_survivor) is None
+        assert hashlib.sha256(outcome.sample_survivor.text.encode()).hexdigest() == digest
 
     def test_binary_k5_deep_path_pinned(self):
         # 20,000 symbols deep: the path is linked (letter, parent) pairs, so

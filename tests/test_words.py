@@ -271,6 +271,21 @@ class TestFactors:
         with pytest.raises(ValueError):
             factors(w("01", 2), 0)
 
+    def test_sliced_windows_bounded(self, monkeypatch):
+        # sliced windows (s**n > 256) hold (len - n + 1) * n symbols: 12
+        # windows of 9 symbols fit a bound of 108, and 13, in one text or
+        # two, are refused before any is sliced
+        monkeypatch.setattr(words_module, "MAX_WINDOW_SYMBOLS", 12 * 9)
+        text = LETTERS * 2
+        assert len(factors(w(text, 10), 9)) == 10
+        assert _windows([text, "0" * 8], 9, 10) == factors(w(text, 10), 9)
+        with pytest.raises(ValueError, match="117 symbols of the length-9 windows"):
+            factors(w(text + "0", 10), 9)
+        with pytest.raises(ValueError, match="exceed the limit of 108"):
+            _windows(iter([text, "0" * 9]), 9, 10)
+        # coded windows (s**n <= 256) take one byte each and are not bounded
+        assert factors(w("01" * 20, 2), 8) == {"01010101", "10101010"}
+
     def test_count_bound(self):
         rng = random.Random(5)
         for _ in range(100):
