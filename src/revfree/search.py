@@ -51,9 +51,8 @@ that overlap make such a square, and the regex has rejected it.  A pop
 removes its block and its schedules, in stack order.  Copies of a block lie
 at least B symbols apart, so a push schedules at most d / B comparisons;
 the `c + rev` copy still costs O(n) per push.  Ternary k=6 with the first
-letter fixed takes about 0.12 / 0.42 s to caps 20,000 / 40,000, against
-0.5 / 2.0 s when every push searched the path for its long halves (Intel
-Xeon, Python 3.11).
+letter fixed takes about 0.12 / 0.42 s to caps 20,000 / 40,000 (Intel Xeon,
+Python 3.11).
 
 Validity and squarefreeness do not change when the letters are renamed
 one-to-one, so `enumerate_valid` and `max_valid_length` extend only one word
@@ -164,10 +163,13 @@ def _next_level(
 # at the 143 MiB that 677,902 binary words of length 40 take.
 MAX_LISTING = 2**22
 # The deepest cap max_valid_length takes: about 1.1 GiB of path, as Nodes
-# at 138 bytes a symbol.  A squarefree path also holds its index and the
-# comparisons it has scheduled, which grow with depth: on the ternary k=6
-# search about 310 bytes a symbol at 5,000, 470 at 20,000 and 630 at 40,000.
+# at 138 bytes a symbol.
 MAX_DEPTH = 2**23
+# The deepest squarefree cap.  A squarefree path also holds its index and the
+# comparisons it has scheduled, which grow faster than the path: on ternary
+# k=6 about 810 / 1,240 bytes a symbol at 2^16 / 2^17 (tracemalloc peaks) and
+# 2,250 at 2^18 (max RSS, 0.55 GiB after 45 s; Intel Xeon, Python 3.11).
+MAX_SQUAREFREE_DEPTH = 2**18
 
 
 def enumerate_valid(s: int, q: AvoidanceQuery, length: int) -> list[str]:
@@ -278,15 +280,17 @@ def max_valid_length(
     fix_first_symbol reports only the words under the root's child 0: a is
     that child, and the witnesses are renamed only by maps that fix 0.  An
     ExceedsCap outcome is the same either way, since its survivor starts
-    with 0.  A cap above MAX_DEPTH, which bounds the path's memory, is
-    refused before the walk, even for a tree that would die early.
+    with 0.  A cap above MAX_DEPTH, or MAX_SQUAREFREE_DEPTH for a squarefree
+    query, which bound the path's memory, is refused before the walk, even
+    for a tree that would die early.
     """
     letters = alphabet(s)
+    k, squarefree = q.k, q.require_squarefree
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if cap > MAX_DEPTH:
-        raise ValueError(f"a cap of {cap} exceeds the depth limit of {MAX_DEPTH}")
-    k, squarefree = q.k, q.require_squarefree
+    limit = MAX_SQUAREFREE_DEPTH if squarefree else MAX_DEPTH
+    if cap > limit:
+        raise ValueError(f"a cap of {cap} exceeds the depth limit of {limit}")
     short_square = PATH_SHORT_SQUARE.match
     B = PATH_BLOCK
     weight = [math.perm(s, j) for j in range(s + 1)]  # words per canonical word using j letters

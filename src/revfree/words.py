@@ -7,12 +7,12 @@ one big-integer sum over a batch of the text, and only the distinct codes
 are decoded back to digit strings.  Longer windows, s**n > 256, are sliced
 one by one, up to MAX_WINDOW_SYMBOLS symbols in all.
 
-Squares are split by the length of their half in two ways.  Listings
-(`drop_squares`) and whole-word scans (`first_square`) take halves up to
-SHORT_HALF = 63 by the short tests and longer halves by one block of 64
-symbols.  The squarefree DFS (`search.max_valid_length`) takes halves below
-PATH_BLOCK = 24 by PATH_SHORT_SQUARE and longer ones by an index of its
-path's 24-symbol blocks, which needs a path that listings do not have.
+Squares are split by the length of their half, one split per question.
+Whole-word scans (`first_square`) take halves up to 63 by an XOR scan and
+longer ones by blocks of 64 symbols and more.  Prefix tests (does a square
+start this text?) take halves below PATH_BLOCK = 24 by PATH_SHORT_SQUARE and
+longer ones by a 24-symbol block: listings (`drop_squares`) find the text's
+first block again, and the squarefree DFS indexes its path's blocks.
 """
 
 from __future__ import annotations
@@ -409,16 +409,13 @@ def periodic_factors(spec: Periodic, n: int) -> frozenset[str]:
     return _windows([spec._prefix(size)], n, spec.alphabet_size)
 
 
-# The longest half of a square the short tests of listings and whole-word
-# scans take.  Squares xx with |x| <= SHORT_HALF: SHORT_SQUARE.match tells
-# whether one starts a text, reading at most 126 symbols, and .search finds
-# the leftmost, in O(63 n) steps.  Lazy, so a match tries the shortest
-# halves, where most squares of a search lie, first.
+# The longest half of a square that the XOR scan of whole words takes.
 SHORT_HALF = 63
-SHORT_SQUARE = re.compile(rf"(.{{1,{SHORT_HALF}}}?)\1")
-# The block length of the squarefree DFS's index (see `search`): it takes
-# halves below PATH_BLOCK by PATH_SHORT_SQUARE.match, reading at most 46
-# symbols, and longer ones by the index.
+# The block length of prefix tests, in listings and in the squarefree DFS's
+# index (see `search`): halves below PATH_BLOCK go to PATH_SHORT_SQUARE.match,
+# which reads at most 46 symbols, and a longer half |x| puts the block
+# text[:PATH_BLOCK] at |x|.  Lazy, so a match tries the shortest halves,
+# where most squares of a search lie, first.
 PATH_BLOCK = 24
 PATH_SHORT_SQUARE = re.compile(rf"(.{{1,{PATH_BLOCK - 1}}}?)\1")
 # Matched at a position, the square starting there with the shortest half.
@@ -428,7 +425,8 @@ SHORTEST_SQUARE = re.compile(r"(.+?)\1")
 
 def _short_square_start(text: str) -> int:
     """Start of the leftmost square with half at most SHORT_HALF in text, or
-    len(text) when it has none: the start `SHORT_SQUARE.search` reports.
+    len(text) when it has none: the start a lazy regex search for such
+    squares reports.
 
     Each half L is one XOR of big integers: with text[:n - L] and text[L:]
     read as integers, byte i of their XOR is zero iff text[i] == text[i + L].
@@ -496,32 +494,28 @@ def drop_squares(texts: list[str]) -> list[str]:
     """The texts, all of one length, that no square xx starts, in order: those
     SHORTEST_SQUARE.match rejects, without its regex step per candidate half.
 
-    Halves up to SHORT_HALF go to SHORT_SQUARE, and longer ones, once the
-    texts have room for two, to `starts_with_long_square`.  A test that
-    finds no square on the reversed path of the ternary k=6 squarefree
-    search takes about 1.3 us at 50 symbols, 3.5 us at 800, 35 us at 20,000
-    and 70 us at 40,000 (Intel Xeon, Python 3.11).  The DFS has the path
-    these texts extend, so it tests its pushes another way (see `search`).
+    Halves below PATH_BLOCK go to PATH_SHORT_SQUARE, and longer ones, once
+    the texts have room for two, to `starts_with_long_square`.  The DFS has
+    the path these texts extend, so it tests its pushes another way (see
+    `search`).
     """
-    short_square = SHORT_SQUARE.match
+    short_square = PATH_SHORT_SQUARE.match
     texts = [t for t in texts if not short_square(t)]
-    if texts and len(texts[0]) > 2 * SHORT_HALF + 1:
+    if texts and len(texts[0]) >= 2 * PATH_BLOCK:
         texts = [t for t in texts if not starts_with_long_square(t)]
     return texts
 
 
 def starts_with_long_square(text: str) -> bool:
-    """True iff a square xx with |x| > SHORT_HALF starts text.
+    """True iff a square xx with |x| >= PATH_BLOCK starts text.
 
-    Such a square puts the block text[:64] at |x|.  So str.find, over the
-    starts that keep the block's copy within the first half of the text
-    plus 64, gives the candidate halves, and one startswith confirms each:
-    a fixed number of Python steps and one C scan of half the text, plus a
-    copy of text[:|x|] per candidate.  On repetitive texts the candidates
-    cost the most: the ternary k=6 search path at 40,000 symbols puts 72
-    copies of its block in the half searched.
+    Such a square puts the block text[:PATH_BLOCK] at |x|.  So str.find, over
+    the starts that keep the block's copy within the first half of the text
+    plus the block, gives the candidate halves, and one startswith confirms
+    each: a fixed number of Python steps and one C scan of half the text,
+    plus a copy of text[:|x|] per candidate.
     """
-    least = SHORT_HALF + 1  # the shortest long half
+    least = PATH_BLOCK  # the shortest long half
     if len(text) < 2 * least:  # no such square fits
         return False
     block, end = text[:least], len(text) // 2 + least

@@ -404,6 +404,8 @@ class TestExitCodes:
         "search -s 2 -k 2 --cap 0",
         # one past the depth limit: refused before the walk, not OOM-killed
         "search -s 2 -k 5 --cap 8388609",
+        # one past the squarefree depth limit (2^18): its index would outgrow the path
+        "search -s 3 -k 6 --squarefree --cap 262145",
         "enumerate -s 2 -k 2 --length -1",
         "factors --word 01 -n 0 -s 2",
         "check --word 01 -k 2 -s 0",

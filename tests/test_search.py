@@ -560,6 +560,34 @@ class TestMaxValidLength:
         with pytest.raises(ValueError):
             max_valid_length(2, q, cap=101)
 
+    def test_squarefree_cap_above_depth_limit_refused_before_the_walk(self, monkeypatch):
+        # refused before any row is built, even for T7's tree, which dies at 20
+        def no_rows(state, letters, k):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(search, "MAX_SQUAREFREE_DEPTH", 100)
+        monkeypatch.setattr(search, "_moves", no_rows)
+        for s, q in ((3, AvoidanceQuery(6, True)), (4, AvoidanceQuery(2, True))):
+            with pytest.raises(ValueError, match="depth limit of 100"):
+                max_valid_length(s, q, cap=101)
+
+    def test_squarefree_cap_at_depth_limit_searches(self, monkeypatch):
+        # the limit holds squarefree queries only: a plain one at the same cap
+        # searches, and a squarefree one at the limit walks its rows
+        rows, moves = [], search._moves
+
+        def spy(state, letters, k):
+            rows.append(state)
+            return moves(state, letters, k)
+
+        monkeypatch.setattr(search, "MAX_SQUAREFREE_DEPTH", 100)
+        monkeypatch.setattr(search, "_moves", spy)
+        q = AvoidanceQuery(6, True)
+        outcome = max_valid_length(3, q, cap=100)
+        assert rows
+        assert outcome == plain_max_valid_length(3, q, 100)
+        assert isinstance(max_valid_length(2, AvoidanceQuery(5), cap=101), ExceedsCap)
+
 
 @pytest.mark.parametrize("s", [0, 11])
 def test_alphabet_size_checked_before_search(s):

@@ -31,7 +31,8 @@ from revfree.words import (
     BUILTIN_NAMES,
     LETTERS,
     MAX_PREFIX,
-    SHORT_SQUARE,
+    PATH_BLOCK,
+    SHORT_HALF,
     SHORTEST_SQUARE,
     _BATCH,
     StreamSpec,
@@ -731,6 +732,11 @@ class TestShortLongSeam:
             assert found[0] <= q - back
 
 
+# The regex search the XOR scan replaces: the leftmost square with half at
+# most SHORT_HALF, the shortest half first at each start.
+SHORT_SQUARE = re.compile(rf"(.{{1,{SHORT_HALF}}}?)\1")
+
+
 def regex_short_square_start(text):
     found = SHORT_SQUARE.search(text)
     return len(text) if found is None else found.start()
@@ -849,7 +855,8 @@ class TestStartsWithSquare:
             spoiled = text[:half] + text[: half - 1] + "9" + text[half:]
             assert starts_with_square(spoiled) == regex_starts_with_square(spoiled)
 
-    @pytest.mark.parametrize("m, d, half", [(32, 20, 55), (32, 24, 60), (64, 40, 110)])
+    @pytest.mark.parametrize("m, d, half", [(24, 16, 45), (24, 20, 47), (32, 20, 55),
+                                             (32, 24, 60), (64, 40, 110)])
     def test_square_at_a_later_block_hit(self, m, d, half):
         # text[:m] has period d, so it occurs at half - d, which is no
         # square, before it occurs at half, which is
@@ -863,25 +870,26 @@ class TestStartsWithSquare:
         spoiled = text[: 2 * half - 1] + "8" + text[2 * half :]
         assert starts_with_square(spoiled) == regex_starts_with_square(spoiled)
 
-    @pytest.mark.parametrize("half", [31, 32, 63, 64, 65, 127, 128])
+    @pytest.mark.parametrize("half", [23, 24, 25, 31, 32, 47, 48, 63, 64, 65, 127, 128])
     def test_squares_at_the_seams(self, half):
-        # the one split: the regex takes halves to 63 and the 64-symbol
-        # block the rest; with no symbol after the square, or one, its half
-        # is n // 2, the last one the block find reaches
+        # the one split of prefix tests: the regex takes halves to 23 and the
+        # 24-symbol block the rest; with no symbol after the square, or one,
+        # its half is n // 2, the last one the block find reaches
         x = T8_PREFIX.text[:half]
         for after in ("", "0", T8_PREFIX.text[half : half + 40]):
             text = x + x + after
             assert len(SHORTEST_SQUARE.match(text).group(1)) == half
             assert starts_with_square(text)
-            assert starts_with_long_square(text) == (half >= 64)
+            assert starts_with_long_square(text) == (half >= PATH_BLOCK)
             # the second copy's last symbol changed: no square of this half
             spoiled = x + x[:-1] + "9" + after
             assert starts_with_square(spoiled) == regex_starts_with_square(spoiled)
 
-    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("n", [46, 47, 48, 49, 63, 64, 65, 127, 128, 129])
     def test_every_half_at_the_seam_lengths(self, n):
-        # texts of n symbols around the lengths where the long-half test
-        # starts and where the 64-symbol block first finds two halves
+        # texts of n symbols around the length 48 where the long-half test
+        # starts and the 24-symbol block first finds two halves, and the
+        # lengths where halves of 64 first fit
         for half in range(1, n // 2 + 1):
             x = T8_PREFIX.text[:half]
             text = (x + x + T8_PREFIX.text[half:])[:n]
@@ -892,22 +900,22 @@ class TestStartsWithSquare:
         assert starts_with_square(T8_PREFIX.text[:n]) is False
 
     def test_block_recurs_before_the_square(self):
-        # text[:64] occurs at 65 and 130, where no square starts, and again
-        # at 195, the square's half; with the square's last symbol changed
-        # the same three hits confirm none
-        block = T8_PREFIX.text[:64]
+        # text[:24] occurs at 25 and 50, where no square starts, at 75, the
+        # square's half, and at 100 and 125 past it; with the square's last
+        # symbol changed the same five hits confirm none
+        block = T8_PREFIX.text[:PATH_BLOCK]
         x = block + "9" + block + "8" + block + "7"
         text = x + x + T8_PREFIX.text[:100]
-        hits = [i for i in range(64, len(text) // 2 + 1) if text.startswith(block, i)]
-        assert hits == [65, 130, 195]
-        assert len(SHORTEST_SQUARE.match(text).group(1)) == 195
+        hits = [i for i in range(PATH_BLOCK, len(text) // 2 + 1) if text.startswith(block, i)]
+        assert hits == [25, 50, 75, 100, 125]
+        assert len(SHORTEST_SQUARE.match(text).group(1)) == 75
         assert starts_with_square(text) and starts_with_long_square(text)
-        spoiled = text[:389] + "6" + text[390:]
+        spoiled = text[:149] + "6" + text[150:]
         assert not regex_starts_with_square(spoiled)
         assert not starts_with_square(spoiled)
 
     @pytest.mark.parametrize(
-        "length", [61, 62, 63, 64, 65, 66, 127, 128, 129, 130, 200, 1_000, 5_000]
+        "length", [46, 47, 48, 61, 62, 63, 64, 65, 66, 127, 128, 129, 130, 200, 1_000, 5_000]
     )
     def test_letters_before_reversed_t8_prefixes(self, length):
         # a search path is its word reversed: a new letter in front of a
@@ -917,15 +925,15 @@ class TestStartsWithSquare:
             assert starts_with_square(c + rev) == regex_starts_with_square(c + rev)
         assert not starts_with_square(rev)
 
-    @pytest.mark.parametrize("n", [63, 64, 65, 128])
+    @pytest.mark.parametrize("n", [46, 47, 48, 49, 63, 64, 65, 128])
     def test_mixed_level(self, n):
-        # one level of n-symbol texts: squares of half 31, 32 and 64 where
-        # they fit, the same with the square's last symbol changed, and
+        # one level of n-symbol texts: squares of half 23, 24, 31, 32 and 64
+        # where they fit, the same with the square's last symbol changed, and
         # squarefree texts between them; the filter keeps, in order, the
         # texts that the regex finds no square at the start of
         text = T8_PREFIX.text
         level = []
-        for i, half in enumerate(h for h in (31, 32, 64) if 2 * h <= n):
+        for i, half in enumerate(h for h in (23, 24, 31, 32, 64) if 2 * h <= n):
             x = text[100 * i : 100 * i + half]
             squared = (x + x + text[100 * i + half :])[:n]
             spoiled = squared[: 2 * half - 1] + "9" + squared[2 * half :]
